@@ -122,6 +122,7 @@ def _result_report(command, input_desc, options, result, converged):
         "residual_atu": result.residual_atu,
         "sigma_min": result.sigma_min,
         "sigma_max": result.sigma_max,
+        "sigma_error": result.sigma_error,
         "iterations": result.iterations,
         "backtracks": result.backtracks,
         "inner_iterations": result.inner_iterations,
@@ -171,6 +172,8 @@ def cmd_solve(args) -> int:
         if result.sigma_min is not None:
             print(f"sigma_min(A+Delta) = {result.sigma_min:.6e}   "
                   f"sigma_max(A+Delta) = {result.sigma_max:.6e}")
+        elif result.sigma_error:
+            print(result.sigma_error)
         print(str(cert))
     else:
         print(f"did not converge: {result.message}")
@@ -316,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--multistart-mode", choices=("full", "cheap"), default="full")
     ps.add_argument("--grad-tol", type=float, default=None,
                     help="residual tolerance (default 1e-12 ||A||_F)")
-    ps.add_argument("--inner-tol", type=float, default=1e-2, help="initial MINRES tolerance")
+    ps.add_argument("--inner-tol", type=float, default=1e-2,
+                    help="relative residual every inner GMRES solve of the Krylov path must reach")
     ps.add_argument("--max-iters", type=int, default=100, help="Newton iteration budget")
     ps.add_argument("--seed", type=int, default=0, help="seed for randomized kernels")
     ps.add_argument("--out", metavar="FILE", help="write the JSON report here")

@@ -1,23 +1,35 @@
-"""Linear-algebra backends: singular triplets, direct and iterative solves.
+"""Linear-algebra backends: one LU of A, singular triplets, direct and Krylov solves.
 
-The solver is written against the three contracts in this module so the
-numerical backends stay swappable:
+The solver is written against the contracts in this module so the numerical
+backends stay swappable:
 
+* ``factorize``: one LU factorization of a square A (SuperLU for sparse A,
+  LAPACK for dense A) behind ``LUFactor.solve(b, trans)``. Its
+  ``aug_inverse`` applies [[0, A^-T], [A^-1, 0]], the inverse of the
+  augmented matrix [[0, A], [A^T, 0]]; the triplet solver and the Newton
+  preconditioner share it, so A is factored once per problem.
 * ``smallest_singular_triplets``: the K smallest singular triplets of a dense
-  or sparse matrix. Dense input goes through a full SVD; large sparse square
-  input uses shift-and-invert Lanczos on the symmetric augmented matrix
-  [[0, A], [A^T, 0]], which is robust for singular values near zero.
+  or sparse matrix. Dense, small or rectangular input goes through a full
+  SVD; large sparse square input uses shift-and-invert Lanczos on the
+  augmented matrix with ``aug_inverse`` as the inverse operator, which is
+  robust for singular values near zero.
 * ``solve_dense``: LU solve with a condition estimate, falling back to a
   minimum-norm least-squares solution when the matrix is numerically
   singular.
-* ``solve_symmetric_iterative``: MINRES for symmetric (possibly indefinite)
-  operators, returning the achieved residual so callers can treat inexact
-  solutions as search directions.
+* ``solve_symmetric_iterative``: GMRES for symmetric (possibly indefinite)
+  operators with an optional preconditioner. It stops on the true relative
+  residual and returns it, so callers can treat inexact solutions as search
+  directions.
+
+Input with more than ``dense_threshold`` total unknowns (m + n) takes the
+sparse and Krylov routes; every function that routes by size takes the
+threshold as an argument, so one caller setting moves every route.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -31,6 +43,8 @@ __all__ = [
     "solve_dense",
     "solve_symmetric_iterative",
     "spectral_norm",
+    "factorize",
+    "LUFactor",
     "DenseSolve",
     "IterativeSolve",
     "validate_matrix",
@@ -38,8 +52,23 @@ __all__ = [
     "as_dense",
 ]
 
-#: problems with at most this many total unknowns use dense factorizations
-DENSE_THRESHOLD = 4000
+#: problems with at most this many total unknowns (m + n), dense or sparse,
+#: assemble H_beta densely; sparse ones also take the dense SVD for their
+#: triplets. It lies above the measured crossovers to the Krylov path (about
+#: m + n = 250 for sparse and 600 for dense input) so that small, hard
+#: problems keep the dense solve and its least-squares fallback.
+DENSE_THRESHOLD = 1000
+
+#: largest order of a dense fallback when A has no usable LU: the SVD of a
+#: square A whose LU or Lanczos run fails, and the dense H_beta (order m + n)
+#: of a rectangular or exactly singular A. A memory cap, not a crossover:
+#: 4000^2 doubles is 128 MB.
+DENSE_FALLBACK_MAX_N = 4000
+
+#: GMRES restart length; the preconditioned Newton systems converge well
+#: before it, and an unpreconditioned system of at most this order runs full
+#: (unrestarted) GMRES
+GMRES_RESTART = 50
 
 #: relative singular-value cutoff below which solve_dense switches to
 #: minimum-norm least squares
@@ -88,6 +117,50 @@ def as_dense(A):
     return np.asarray(A)
 
 
+class LUFactor:
+    """LU factorization of a square matrix A behind one ``solve(b, trans)``."""
+
+    def __init__(self, A):
+        self.n = A.shape[0]
+        if sp.issparse(A):
+            lu = spla.splu(sp.csc_array(A))
+            self._solve = lambda b, trans: lu.solve(b, trans="T" if trans else "N")
+        else:
+            lu_piv = scipy.linalg.lu_factor(A, check_finite=False)
+            if not np.all(np.isfinite(lu_piv[0])) or not np.all(np.diag(lu_piv[0])):
+                raise np.linalg.LinAlgError("matrix is exactly singular")
+            self._solve = lambda b, trans: scipy.linalg.lu_solve(
+                lu_piv, b, trans=int(trans), check_finite=False)
+
+    def solve(self, b, trans=False):
+        """``A^-1 b``, or ``A^-T b`` when ``trans``."""
+        return self._solve(np.asarray(b, dtype=float), trans)
+
+    def aug_inverse(self):
+        """[[0, A^-T], [A^-1, 0]] as a ``LinearOperator``: the inverse of [[0, A], [A^T, 0]]."""
+        n = self.n
+
+        def apply(x):
+            x = np.ravel(x)
+            return np.concatenate([self.solve(x[n:], trans=True), self.solve(x[:n])])
+
+        return spla.LinearOperator((2 * n, 2 * n), matvec=apply, dtype=float)
+
+
+def factorize(A):
+    """``LUFactor`` of a square matrix, or None when A is exactly singular."""
+    A = validate_matrix(A)
+    if A.shape[0] != A.shape[1]:
+        raise DimensionMismatchError(f"factorize needs a square matrix, got {A.shape}")
+    try:
+        with warnings.catch_warnings():
+            # LAPACK's exact-singularity warning is turned into the None result
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            return LUFactor(A)
+    except (RuntimeError, np.linalg.LinAlgError):  # SuperLU: "Factor is exactly singular"
+        return None
+
+
 def _dense_triplets(A, k):
     U, s, Vt = scipy.linalg.svd(as_dense(A), full_matrices=False)
     out = []
@@ -96,14 +169,18 @@ def _dense_triplets(A, k):
     return out, float(s[0])
 
 
-def _sparse_triplets(A, k, seed):
-    """Shift-and-invert Lanczos at zero on the augmented matrix."""
+def _sparse_triplets(A, k, seed, factor):
+    """Shift-and-invert Lanczos at zero on the augmented matrix, inverted by ``factor``."""
     m, n = A.shape
-    aug = sp.bmat([[None, A], [A.T, None]], format="csc")
+    A_T = A.T.tocsr()
+    aug = spla.LinearOperator(
+        (m + n, m + n), dtype=float,
+        matvec=lambda x: np.concatenate([A @ x[m:], A_T @ x[:m]]),
+    )
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(m + n)
     k_eig = min(2 * k + 2, m + n - 1)
-    w, W = spla.eigsh(aug, k=k_eig, sigma=0.0, which="LM", v0=v0)
+    w, W = spla.eigsh(aug, k=k_eig, sigma=0.0, which="LM", v0=v0, OPinv=factor.aug_inverse())
     pos = np.where(w > 0)[0]
     pos = pos[np.argsort(w[pos])]
     if len(pos) < k:
@@ -124,11 +201,11 @@ def _sparse_triplets(A, k, seed):
     return out
 
 
-def spectral_norm(A, seed=0):
-    """Largest singular value of ``A`` (Lanczos for large sparse input)."""
+def spectral_norm(A, seed=0, dense_threshold=DENSE_THRESHOLD):
+    """Largest singular value of ``A`` (Lanczos for sparse input above the threshold)."""
     if sp.issparse(A):
         m, n = A.shape
-        if min(m, n) <= 2 or m + n <= DENSE_THRESHOLD:
+        if min(m, n) <= 2 or m + n <= dense_threshold:
             return float(np.linalg.norm(as_dense(A), 2))
         rng = np.random.default_rng(seed)
         s = spla.svds(
@@ -138,32 +215,39 @@ def spectral_norm(A, seed=0):
     return float(np.linalg.norm(A, 2))
 
 
-def smallest_singular_triplets(A, k=1, seed=0):
-    """The ``k`` smallest singular triplets of ``A``, ascending in sigma.
+def smallest_singular_triplets(A, k=1, seed=0, *, factor=None, dense_threshold=DENSE_THRESHOLD):
+    """The ``k`` smallest singular triplets of ``A``, ascending in sigma, and sigma_max(A).
 
-    Returns a list of (sigma, u, v) with unit-norm vectors satisfying
-    ``A v = sigma u`` and ``A^T u = sigma v`` to a relative residual of
-    1e-10. Dense or small input uses a full SVD. Large sparse square input
-    uses shift-and-invert Lanczos; on failure it falls back to the dense
-    path when memory permits, otherwise ``TripletError`` is raised with the
-    achieved residual.
+    Returns ``(trips, sigma_max)``: a list of (sigma, u, v) with unit-norm
+    vectors satisfying ``A v = sigma u`` and ``A^T u = sigma v`` to a
+    relative residual of 1e-10, and the largest singular value of ``A``,
+    which every route computes for that check. Dense, rectangular or small input (m + n at most
+    ``dense_threshold``) uses a full SVD. Large sparse square input uses
+    shift-and-invert Lanczos through ``factor``, an ``LUFactor`` of A that is
+    built here when not given. If A cannot be factored or Lanczos fails, the
+    dense SVD takes over up to order ``DENSE_FALLBACK_MAX_N``; beyond it
+    ``TripletError`` is raised. A triplet residual above the bound raises
+    ``TripletError`` with the achieved residual.
     """
     A = validate_matrix(A)
     m, n = A.shape
     if k < 1 or k > min(m, n):
         raise DimensionMismatchError(f"k={k} out of range for shape {A.shape}")
-    use_dense = (not sp.issparse(A)) or (m + n <= DENSE_THRESHOLD) or (m != n)
-    if use_dense:
+    if not sp.issparse(A) or m + n <= dense_threshold or m != n:
         trips, norm_a = _dense_triplets(A, k)
     else:
         try:
-            trips = _sparse_triplets(A, k, seed)
-            norm_a = spectral_norm(A, seed=seed)
-        except Exception as exc:  # singular factorization, Lanczos breakdown
-            if m == n and m <= 4000:
-                trips, norm_a = _dense_triplets(A, k)
-            else:
+            if factor is None:
+                factor = factorize(A)
+            if factor is None:
+                raise TripletError("A is exactly singular; no LU for shift-and-invert")
+            trips = _sparse_triplets(A, k, seed, factor)
+            norm_a = spectral_norm(A, seed=seed, dense_threshold=dense_threshold)
+        except (TripletError, RuntimeError, np.linalg.LinAlgError) as exc:
+            # singular factorization, Lanczos breakdown or no convergence
+            if n > DENSE_FALLBACK_MAX_N:
                 raise TripletError(f"sparse triplet computation failed: {exc}") from exc
+            trips, norm_a = _dense_triplets(A, k)
     scale = max(norm_a, 1e-300)
     worst = 0.0
     for sigma, u, v in trips:
@@ -175,7 +259,7 @@ def smallest_singular_triplets(A, k=1, seed=0):
             f"singular triplet residual {worst:.3e} exceeds {TRIPLET_RESIDUAL_TOL:.1e}",
             achieved_residual=worst,
         )
-    return trips
+    return trips, norm_a
 
 
 @dataclasses.dataclass
@@ -235,13 +319,17 @@ def _as_operator(op, n):
     raise StructureError(f"unsupported operator type {type(op)!r}")
 
 
-def solve_symmetric_iterative(op, b, tol=1e-10, max_iter=None):
-    """MINRES on a symmetric (possibly indefinite) system.
+def solve_symmetric_iterative(op, b, tol=1e-10, max_iter=None, precond=None):
+    """GMRES on a symmetric (possibly indefinite) system, optionally preconditioned.
 
     ``op`` may be a matrix, a ``LinearOperator``, or a matvec callable; the
-    caller asserts symmetry. Returns the iterate with its achieved relative
-    residual; hitting ``max_iter`` is not an error, since an inexact step is
-    still a usable search direction.
+    caller asserts symmetry. ``precond`` approximates the inverse of ``op``
+    (any ``LinearOperator``; MINRES would need it positive definite, GMRES
+    does not). The solve stops when the true relative residual
+    ||b - op x|| / ||b|| is at most ``tol`` or after ``max_iter`` iterations
+    (default: the order of the system). Returns the iterate with that
+    achieved residual; an unconverged solve is not an error, since an
+    inexact step is still a usable search direction.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -250,15 +338,14 @@ def solve_symmetric_iterative(op, b, tol=1e-10, max_iter=None):
         return IterativeSolve(x=np.zeros(n), residual=0.0, iterations=0, converged=True)
     linop = _as_operator(op, n)
     if max_iter is None:
-        max_iter = 4 * n
+        max_iter = n
+    restart = max(1, min(GMRES_RESTART, n, max_iter))
     count = {"it": 0}
 
-    def _cb(_xk):
+    def _cb(_pr_norm):
         count["it"] += 1
 
-    try:
-        x, _info = spla.minres(linop, b, rtol=tol, maxiter=max_iter, callback=_cb)
-    except TypeError:  # scipy < 1.12 spells the tolerance argument 'tol'
-        x, _info = spla.minres(linop, b, tol=tol, maxiter=max_iter, callback=_cb)
+    x, _info = spla.gmres(linop, b, rtol=tol, restart=restart, maxiter=-(-max_iter // restart),
+                          M=precond, callback=_cb, callback_type="pr_norm")
     res = float(np.linalg.norm(b - linop.matvec(x)) / bnorm)
     return IterativeSolve(x=x, residual=res, iterations=count["it"], converged=res <= tol)

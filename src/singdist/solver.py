@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import math
 import os
 import time
@@ -35,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .errors import AllStartsFailed, DimensionMismatchError, StructureError
+from .errors import AllStartsFailed, DimensionMismatchError, SingdistError, StructureError
 from .structure import LinearStructure, SparsityPattern, as_dense
 
 __all__ = [
@@ -68,10 +69,13 @@ class SolverOptions:
     """Tuning knobs for the Newton solve.
 
     ``beta`` and ``grad_tol`` default to ``None``, meaning ||A||_F and
-    1e-12 ||A||_F respectively, resolved per instance. The inner (MINRES)
-    tolerance starts loose and tightens once the outer residual falls below
-    ``tighten_threshold * ||A||_F``, protecting terminal quadratic
-    convergence without paying for accurate inner solves early on.
+    1e-12 ||A||_F respectively, resolved per instance. ``inner_tol`` is the
+    forcing term of the Krylov path: every inner GMRES solve must reach a
+    true relative residual of at most ``inner_tol``. ``dense_threshold``
+    routes every size decision of a solve: problems with m + n at most it
+    assemble H_beta densely, larger ones with an LU of A take the Krylov
+    Newton step, and larger sparse ones also the sparse triplet and
+    certificate routes (see ``ProblemInstance.use_dense_newton``).
     """
 
     beta: float | None = None
@@ -81,10 +85,7 @@ class SolverOptions:
     multistart: int = 1
     multistart_mode: str = "full"  # "full" runs every start, "cheap" only argmin sigma_hat
     inner_tol: float = 1e-2
-    inner_tol_tight: float = 1e-4
-    tighten_threshold: float = 1e-6
     dense_threshold: int = linalg.DENSE_THRESHOLD
-    minres_maxiter: int | None = None
     seed: int = 0
     threads: int | None = None
 
@@ -99,6 +100,8 @@ class SolverOptions:
             raise ValueError("multistart must be at least 1")
         if self.multistart_mode not in ("full", "cheap"):
             raise ValueError("multistart_mode must be 'full' or 'cheap'")
+        if not 0 < self.inner_tol < 1:
+            raise ValueError("inner_tol must lie in (0, 1)")
 
 
 class ProblemInstance:
@@ -142,7 +145,35 @@ class ProblemInstance:
 
     @property
     def use_dense_newton(self):
-        return self.m + self.n <= self.options.dense_threshold
+        """Whether the Newton step assembles H_beta densely.
+
+        True up to ``dense_threshold`` unknowns (m + n), and also up to
+        ``linalg.DENSE_FALLBACK_MAX_N`` when A has no LU (rectangular or
+        exactly singular): unpreconditioned GMRES stalls on such systems
+        where the dense solve and its least-squares fallback converge.
+        """
+        size = self.m + self.n
+        if size <= self.options.dense_threshold:
+            return True
+        return self.factor is None and size <= linalg.DENSE_FALLBACK_MAX_N
+
+    @functools.cached_property
+    def factor(self):
+        """``linalg.LUFactor`` of A, shared by the triplets and the Newton preconditioner.
+
+        Built on first use above ``dense_threshold``; None at or below it,
+        and when A is rectangular or exactly singular.
+        """
+        if self.m != self.n or self.m + self.n <= self.options.dense_threshold:
+            return None
+        return linalg.factorize(self.A)
+
+    def singular_triplets(self, k):
+        """The k smallest singular triplets of A and sigma_max(A), routed by the instance."""
+        return linalg.smallest_singular_triplets(
+            self.A, k, seed=self.options.seed, factor=self.factor,
+            dense_threshold=self.options.dense_threshold,
+        )
 
     def dense_A(self):
         if self._A_dense is None:
@@ -231,21 +262,14 @@ def assemble_H_beta(P: ProblemInstance, u, v, beta: float | None = None):
 
 @dataclasses.dataclass
 class SolverState:
-    """One Newton iterate with its cached perturbation and residual.
-
-    ``inner_tol`` is the current MINRES tolerance; ``None`` means the
-    schedule default. The line search tightens it when full steps stop
-    contracting the residual, which signals direction-limited progress.
-    """
+    """One Newton iterate with its cached residual."""
 
     u: np.ndarray
     v: np.ndarray
-    delta: object
     residual: np.ndarray
     residual_norm: float
     iteration: int = 0
     alpha: float = math.nan
-    inner_tol: float | None = None
 
     @classmethod
     def at(cls, P: ProblemInstance, u, v, beta=None):
@@ -255,49 +279,40 @@ class SolverState:
         return cls(
             u=u,
             v=v,
-            delta=P.structure.project_rank1(u, v),
             residual=g,
             residual_norm=float(np.linalg.norm(g)),
         )
 
 
 def newton_step(P: ProblemInstance, state: SolverState, beta: float | None = None):
-    """Solve H_beta [du; dv] = -G_beta at the state; returns (du, dv, inner_iters).
+    """Solve H_beta [du; dv] = -G_beta at the state; returns (du, dv, inner).
 
-    Small problems assemble H_beta and use the direct solver with its
-    minimum-norm fallback; large sparse problems apply H_beta matrix-free
-    through MINRES with the loose-then-tight inner tolerance schedule.
+    Problems on the dense path (``P.use_dense_newton``) assemble H_beta and
+    use the direct solver with its minimum-norm fallback (``inner`` is
+    None). The others apply H_beta matrix-free through GMRES to a true
+    relative residual of at most ``inner_tol``, preconditioned by the
+    inverse of [[0, A], [A^T, 0]] from the instance's LU of A (H_beta's
+    leading part while u and Delta are small); an A without LU gets here
+    only above ``linalg.DENSE_FALLBACK_MAX_N`` unknowns and runs
+    unpreconditioned. ``inner`` is the ``linalg.IterativeSolve`` with its
+    iterations and convergence.
     """
     if beta is None:
         beta = P.beta
-    opts = P.options
     rhs = -state.residual
     if P.use_dense_newton:
         H = assemble_H_beta(P, state.u, state.v, beta)
         sol = linalg.solve_dense(H, rhs)
         du, dv = _split(P, sol.x)
-        return du, dv, 0
-    S = P.structure
+        return du, dv, None
     u, v = state.u, state.v
-    c = S.apply_mt(v, u)
-    vv = v @ v
-
-    def hmat(x):
-        du_, dv_ = _split(P, x)
-        w = S.apply_mt(v, du_) + S.apply_nt(u, dv_)
-        h1 = P.matvec(dv_) + S.apply_m(dv_, c) + S.apply_m(v, w)
-        h2 = P.rmatvec(du_) + S.apply_n(du_, c) + S.apply_n(u, w)
-        h2 += beta * (2.0 * (v @ dv_) * v + (vv - 1.0) * dv_)
-        return np.concatenate([h1, h2])
-
-    tight = state.residual_norm < opts.tighten_threshold * max(P.norm_fro, 1e-300)
-    tol = opts.inner_tol_tight if tight else opts.inner_tol
-    if state.inner_tol is not None:
-        tol = min(tol, state.inner_tol)
-    maxiter = opts.minres_maxiter if opts.minres_maxiter is not None else 2 * (P.m + P.n)
-    it = linalg.solve_symmetric_iterative(hmat, rhs, tol=tol, max_iter=maxiter)
+    factor = P.factor
+    it = linalg.solve_symmetric_iterative(
+        lambda x: apply_H_beta(P, u, v, *_split(P, x), beta), rhs, tol=P.options.inner_tol,
+        precond=factor.aug_inverse() if factor is not None else None,
+    )
     du, dv = _split(P, it.x)
-    return du, dv, it.iterations
+    return du, dv, it
 
 
 @dataclasses.dataclass
@@ -309,6 +324,7 @@ class IterationRecord:
     alpha: float
     backtracks: int
     inner_iterations: int
+    inner_converged: bool = True
 
 
 @dataclasses.dataclass
@@ -348,6 +364,7 @@ class SolveResult:
     sigma_max: float | None = None
     starts: list = dataclasses.field(default_factory=list)
     wall_time: float = 0.0
+    sigma_error: str = ""
 
     @property
     def backtracks(self):
@@ -369,10 +386,8 @@ def _finalize(P: ProblemInstance, state: SolverState, converged, message, trace,
             # Gauge fix: Delta is invariant under (u, v) -> (u a, v / a).
             u = u * vn
             v = v / vn
-    S = P.structure
-    delta = S.project_rank1(u, v)
-    r1 = P.matvec(v) + S.apply_m(v, S.apply_mt(v, u))
-    r2 = P.rmatvec(u) + S.apply_n(u, S.apply_nt(u, v))
+    delta = P.structure.project_rank1(u, v)
+    r1, r2 = _split(P, residual_G(P, u, v))
     g = residual_G_beta(P, u, v)
     return SolveResult(
         converged=converged,
@@ -429,18 +444,14 @@ def line_search_newton(P: ProblemInstance, start_u, start_v, start_index: int = 
                 f"no descent within {opts.max_backtracks} backtracks at iteration {it}",
                 trace, start_index, t0,
             )
-        if not P.use_dense_newton and alpha == 1.0 and gn_try > 0.5 * state.residual_norm:
-            # A full step that barely contracts the residual means the inexact
-            # direction is the bottleneck; tighten the inner solves from here on.
-            cur = state.inner_tol if state.inner_tol is not None else opts.inner_tol
-            state.inner_tol = max(0.1 * cur, 1e-12)
         state.u, state.v = u_try, v_try
         state.residual = g_try
         state.residual_norm = gn_try
-        state.delta = P.structure.project_rank1(state.u, state.v)
         state.iteration = it
         state.alpha = alpha
-        trace.append(IterationRecord(it, gn_try, alpha, bt, inner))
+        trace.append(IterationRecord(it, gn_try, alpha, bt,
+                                     inner.iterations if inner else 0,
+                                     inner.converged if inner else True))
     if state.residual_norm <= grad_tol:
         return _finalize(P, state, True, "converged", trace, start_index, t0)
     return _finalize(
@@ -463,20 +474,21 @@ class StartingPoint:
     reason: str = ""
 
 
-def starting_values(P: ProblemInstance, K: int | None = None):
+def starting_values(P: ProblemInstance, K: int | None = None, triplets=None):
     """Initial pairs from the K smallest singular triplets of A.
 
     For each triplet, sigma_hat = sigma / ||project_rank1(u_k, v_k)||_F^2
     scales u_0 = -sigma_hat u_k so that A + Delta_0 is orthogonal to
     u_k v_k^T. Triplets whose projected rank-1 direction nearly vanishes
-    cannot seed a perturbation and are skipped with a warning.
+    cannot seed a perturbation and are skipped with a warning. ``triplets``
+    are the K smallest triplets when the caller has them already.
     """
     if K is None:
         K = P.options.multistart
     if K < 1:
         raise ValueError("K must be at least 1")
     K = min(K, min(P.m, P.n))
-    trips = linalg.smallest_singular_triplets(P.A, K, seed=P.options.seed)
+    trips = triplets if triplets is not None else P.singular_triplets(K)[0]
     out = []
     for k, (sigma, uk, vk) in enumerate(trips, start=1):
         pn = linalg.frobenius_norm(P.structure.project_rank1(uk, vk))
@@ -494,7 +506,11 @@ def starting_values(P: ProblemInstance, K: int | None = None):
 
 
 def _certificate_sigmas(P: ProblemInstance, delta):
-    """sigma_min and sigma_max of A + Delta, or (None, None) if unavailable."""
+    """(sigma_min, sigma_max, reason) of A + Delta; the sigmas are None when unavailable.
+
+    ``reason`` is empty on success and otherwise a fixed string naming the
+    exception, so reports stay deterministic.
+    """
     try:
         if P.is_sparse and sp.issparse(delta):
             B = (P.A + delta).tocsr()
@@ -502,12 +518,13 @@ def _certificate_sigmas(P: ProblemInstance, delta):
             B = P.dense_A() + as_dense(delta)
         if not sp.issparse(B) or P.m + P.n <= P.options.dense_threshold or P.m != P.n:
             s = np.linalg.svd(as_dense(B), compute_uv=False)
-            return float(s[-1]), float(s[0])
-        trips = linalg.smallest_singular_triplets(B, 1, seed=P.options.seed)
-        smax = linalg.spectral_norm(B, seed=P.options.seed)
-        return float(trips[0][0]), float(smax)
-    except Exception:
-        return None, None
+            return float(s[-1]), float(s[0]), ""
+        trips, smax = linalg.smallest_singular_triplets(
+            B, 1, seed=P.options.seed, dense_threshold=P.options.dense_threshold,
+        )
+        return float(trips[0][0]), float(smax), ""
+    except (SingdistError, RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
+        return None, None, f"sigma(A+Delta) not computed: {type(exc).__name__}"
 
 
 def _summarize(start: StartingPoint, result: SolveResult | None):
@@ -547,9 +564,9 @@ def solve(P: ProblemInstance) -> SolveResult:
     best non-converged result attached.
     """
     t0 = time.perf_counter()
-    trips = linalg.smallest_singular_triplets(P.A, 1, seed=P.options.seed)
+    K = min(P.options.multistart, P.m, P.n)
+    trips, sigma_max_a = P.singular_triplets(K)
     sigma_min_a = trips[0][0]
-    sigma_max_a = linalg.spectral_norm(P.A, seed=P.options.seed)
     if sigma_min_a <= SINGULAR_INPUT_RTOL * max(sigma_max_a, 1e-300):
         # Already singular: the zero perturbation is optimal.
         v = trips[0][2]
@@ -571,7 +588,7 @@ def solve(P: ProblemInstance) -> SolveResult:
             sigma_max=float(sigma_max_a),
             wall_time=time.perf_counter() - t0,
         )
-    starts = starting_values(P)
+    starts = starting_values(P, K, trips)
     runnable = [s for s in starts if not s.skipped]
     if P.options.multistart_mode == "cheap" and len(runnable) > 1:
         best_start = min(runnable, key=lambda s: s.sigma_hat)
@@ -601,6 +618,6 @@ def solve(P: ProblemInstance) -> SolveResult:
         )
     best = min(converged, key=lambda r: r.distance)
     best.starts = summaries
-    best.sigma_min, best.sigma_max = _certificate_sigmas(P, best.delta)
+    best.sigma_min, best.sigma_max, best.sigma_error = _certificate_sigmas(P, best.delta)
     best.wall_time = time.perf_counter() - t0
     return best

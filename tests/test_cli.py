@@ -62,6 +62,20 @@ def test_solve_writes_delta(tmp_path):
     assert np.allclose(as_dense(D), np.diag([0.0, -1.0]), atol=1e-10)
 
 
+def test_solve_reports_certificate_failure(tmp_path, capsys, monkeypatch):
+    def broken_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    mat = write_diag(tmp_path)
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(np.linalg, "svd", broken_svd)
+    assert run(["solve", mat, "--full", "--out", out]) == 0
+    rep = load_report(out)
+    assert rep["sigma_min"] is None and rep["sigma_max"] is None
+    assert rep["sigma_error"] == "sigma(A+Delta) not computed: LinAlgError"
+    assert "sigma(A+Delta) not computed: LinAlgError" in capsys.readouterr().out
+
+
 def test_solve_input_errors(tmp_path):
     assert run(["solve", tmp_path / "missing.mtx"]) == 1
     rect = tmp_path / "rect.mtx"

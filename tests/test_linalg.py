@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from singdist import smallest_singular_triplets, solve_dense, solve_symmetric_iterative, spectral_norm
-from singdist.linalg import _sparse_triplets
+from singdist import (DimensionMismatchError, smallest_singular_triplets, solve_dense,
+                      solve_symmetric_iterative, spectral_norm)
+from singdist.linalg import _sparse_triplets, factorize
 
 
 def triplet_residuals(A, trips):
@@ -18,14 +19,14 @@ def triplet_residuals(A, trips):
 
 
 def test_triplets_diagonal():
-    trips = smallest_singular_triplets(np.diag([3.0, 1.0]), 1)
+    trips, _ = smallest_singular_triplets(np.diag([3.0, 1.0]), 1)
     sigma, u, v = trips[0]
     assert abs(sigma - 1.0) <= 1e-12
     assert np.allclose(np.abs(u), [0, 1], atol=1e-12)
     assert np.allclose(np.abs(v), [0, 1], atol=1e-12)
     assert u @ (np.diag([3.0, 1.0]) @ v) > 0  # sign fixed so u^T A v = sigma
 
-    trips = smallest_singular_triplets(np.diag([5.0, 2.0]), 2)
+    trips, _ = smallest_singular_triplets(np.diag([5.0, 2.0]), 2)
     assert [t[0] for t in trips] == sorted(t[0] for t in trips)
     assert abs(trips[0][0] - 2.0) <= 1e-12 and abs(trips[1][0] - 5.0) <= 1e-12
 
@@ -34,7 +35,7 @@ def test_triplets_match_dense_svd():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((8, 8))
     s_ref = np.linalg.svd(A, compute_uv=False)
-    trips = smallest_singular_triplets(A, 3)
+    trips, _ = smallest_singular_triplets(A, 3)
     for k, (sigma, u, v) in enumerate(trips):
         assert abs(sigma - s_ref[-1 - k]) <= 1e-10 * s_ref[0]
         assert abs(np.linalg.norm(u) - 1) <= 1e-12
@@ -47,24 +48,52 @@ def test_triplet_residual_bounds_random():
         m, n = rng.integers(2, 51, size=2)
         A = rng.standard_normal((m, n))
         k = int(rng.integers(1, min(m, n) + 1))
-        trips = smallest_singular_triplets(A, k)
+        trips, _ = smallest_singular_triplets(A, k)
         norm_a = np.linalg.svd(A, compute_uv=False)[0]
         assert triplet_residuals(A, trips) <= 1e-10 * norm_a
 
 
 def test_sparse_triplets_agree_with_dense():
     # exercise the shift-invert path explicitly (the public entry point
-    # would route a matrix this small through the dense SVD)
+    # routes a matrix this small through the dense SVD unless the threshold
+    # is lowered)
     rng = np.random.default_rng(13)
     n = 60
     A = sp.random(n, n, density=0.1, random_state=np.random.RandomState(13),
                   format="csr") + sp.diags(1.0 + rng.random(n))
     A = sp.csr_array(A)
-    trips = _sparse_triplets(A, 2, seed=0)
     s_ref = np.linalg.svd(A.toarray(), compute_uv=False)
+    factor = factorize(A)
+    trips = _sparse_triplets(A, 2, 0, factor)
     assert abs(trips[0][0] - s_ref[-1]) <= 1e-9 * s_ref[0]
     assert abs(trips[1][0] - s_ref[-2]) <= 1e-9 * s_ref[0]
     assert triplet_residuals(A, trips) <= 1e-10 * s_ref[0]
+    # the public entry point with a shared LU, and with one it builds itself
+    for shared in (factor, None):
+        trips, norm_a = smallest_singular_triplets(A, 2, factor=shared, dense_threshold=0)
+        assert abs(trips[0][0] - s_ref[-1]) <= 1e-9 * s_ref[0]
+        assert abs(trips[1][0] - s_ref[-2]) <= 1e-9 * s_ref[0]
+        assert abs(norm_a - s_ref[0]) <= 1e-8 * s_ref[0]
+
+
+def test_lu_factor_solves_and_inverts_augmented():
+    rng = np.random.default_rng(19)
+    n = 40
+    A = sp.csr_array(sp.random(n, n, density=0.1, random_state=np.random.RandomState(19))
+                     + 2.0 * sp.identity(n))
+    b = rng.standard_normal(n)
+    for M in (A, A.toarray()):
+        f = factorize(M)
+        assert np.linalg.norm(A @ f.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.linalg.norm(A.T @ f.solve(b, trans=True) - b) <= 1e-12 * np.linalg.norm(b)
+        aug = np.block([[np.zeros((n, n)), A.toarray()], [A.toarray().T, np.zeros((n, n))]])
+        x = rng.standard_normal(2 * n)
+        assert np.allclose(aug @ f.aug_inverse().matvec(x), x, atol=1e-11)
+    singular = sp.csr_array(sp.diags(np.r_[np.ones(n - 1), 0.0]))
+    assert factorize(singular) is None
+    assert factorize(singular.toarray()) is None
+    with pytest.raises(DimensionMismatchError):
+        factorize(sp.csr_array(np.ones((3, 2))))
 
 
 def test_spectral_norm():
@@ -132,6 +161,25 @@ def test_iterative_reports_achieved_residual():
     b = rng.standard_normal(30)
     out = solve_symmetric_iterative(lambda x: M @ x, b, tol=1e-8, max_iter=500)
     assert abs(np.linalg.norm(M @ out.x - b) / np.linalg.norm(b) - out.residual) <= 1e-12
+
+
+def test_iterative_preconditioned_reaches_true_residual():
+    # a symmetric indefinite system with a nearby symmetric indefinite
+    # preconditioner (which MINRES could not use): GMRES must meet the
+    # requested true relative residual in few iterations
+    rng = np.random.default_rng(20)
+    n = 80
+    B = rng.standard_normal((n, n))
+    M = (B + B.T) / 2
+    E = 1e-2 * rng.standard_normal((n, n))
+    Minv = np.linalg.inv(M + (E + E.T) / 2)
+    b = rng.standard_normal(n)
+    for tol in (1e-2, 1e-8):
+        out = solve_symmetric_iterative(lambda x: M @ x, b, tol=tol, precond=Minv)
+        true = np.linalg.norm(M @ out.x - b) / np.linalg.norm(b)
+        assert out.converged and true <= tol
+        assert abs(true - out.residual) <= 1e-12
+        assert out.iterations <= 10
 
 
 def test_validate_rejects_bad_input():

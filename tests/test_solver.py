@@ -21,6 +21,7 @@ from singdist import (
     solve,
     starting_values,
 )
+from singdist import linalg
 from singdist.solver import newton_step, SolverState
 from conftest import pattern_instance, random_orthonormal_basis
 
@@ -333,6 +334,80 @@ def test_rectangular_instance_rank_deficiency():
     assert abs(res.distance - s[-1]) <= 1e-9 * s[-1]
 
 
+def sparse_instance(n, seed, density=0.08):
+    A = sp.random(n, n, density=density, random_state=np.random.RandomState(seed))
+    return sp.csr_array(A + sp.diags(0.5 + np.random.default_rng(seed).random(n)))
+
+
+def test_krylov_path_matches_dense_path():
+    A = sparse_instance(80, 40)
+    dense = solve(ProblemInstance(A))
+    P = ProblemInstance(A, options=SolverOptions(dense_threshold=100))
+    assert not P.use_dense_newton and P.factor is not None
+    krylov = solve(P)
+    assert dense.converged and krylov.converged
+    assert abs(krylov.distance - dense.distance) <= 1e-10 * dense.distance
+    assert krylov.inner_iterations > 0
+    assert all(r.inner_converged for r in krylov.trace)
+    assert krylov.sigma_min <= 1e-10 * krylov.sigma_max and krylov.sigma_error == ""
+
+
+def test_krylov_newton_step_meets_inner_tol():
+    # the true relative residual of the inexact Newton step, measured
+    # against the assembled H_beta, is within the forcing term
+    A = sparse_instance(80, 40)
+    rng = np.random.default_rng(41)
+    for inner_tol in (1e-2, 1e-6):
+        P = ProblemInstance(A, options=SolverOptions(dense_threshold=100, inner_tol=inner_tol))
+        start = starting_values(P, 1)[0]
+        for scale in (0.0, 0.1):
+            state = SolverState.at(P, start.u0 + scale * rng.standard_normal(80), start.v0)
+            du, dv, _ = newton_step(P, state)
+            H = assemble_H_beta(P, state.u, state.v)
+            true = np.linalg.norm(H @ np.concatenate([du, dv]) + state.residual)
+            assert true <= inner_tol * state.residual_norm
+
+
+def test_singular_sparse_input_above_threshold_short_circuits():
+    # an exactly singular square input has no LU; the triplets fall back to
+    # the dense SVD and the solve reports distance 0
+    A = sparse_instance(60, 42).tolil()
+    A[7, :] = 0.0
+    P = ProblemInstance(sp.csr_array(A), options=SolverOptions(dense_threshold=50))
+    assert P.factor is None
+    res = solve(P)
+    assert res.converged and res.distance == 0.0
+    assert "singular" in res.message
+
+
+def test_rectangular_sparse_input_routing(monkeypatch):
+    # no LU for a rectangular A: up to the dense-fallback cap the Newton
+    # step stays on the dense path; above it, it runs unpreconditioned
+    # through the same GMRES entry point, restarting (order 150 > 50)
+    A = sp.csr_array(sp.random(60, 90, density=0.3, random_state=np.random.RandomState(44)))
+    dense = solve(ProblemInstance(A))
+    P = ProblemInstance(A, options=SolverOptions(dense_threshold=20))
+    assert P.factor is None and P.use_dense_newton
+    monkeypatch.setattr(linalg, "DENSE_FALLBACK_MAX_N", 100)
+    assert P.m + P.n > linalg.GMRES_RESTART and not P.use_dense_newton
+    krylov = solve(P)
+    assert dense.converged and krylov.converged
+    assert max(r.inner_iterations for r in krylov.trace) > linalg.GMRES_RESTART
+    assert abs(krylov.distance - dense.distance) <= 1e-10 * dense.distance
+
+
+def test_certificate_failure_is_recorded(monkeypatch):
+    def broken_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    P = full_instance(np.diag([3.0, 1.0]))
+    monkeypatch.setattr(np.linalg, "svd", broken_svd)
+    res = solve(P)
+    assert res.converged and abs(res.distance - 1.0) <= 1e-10
+    assert res.sigma_min is None and res.sigma_max is None
+    assert res.sigma_error == "sigma(A+Delta) not computed: LinAlgError"
+
+
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(beta=-1.0)
@@ -340,3 +415,6 @@ def test_solver_options_validation():
         SolverOptions(multistart=0)
     with pytest.raises(ValueError):
         SolverOptions(multistart_mode="sometimes")
+    for inner_tol in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            SolverOptions(inner_tol=inner_tol)

@@ -7,8 +7,13 @@ in the kernel vectors (u, v). Structures supported: every entry free,
 a fixed sparsity pattern, and an arbitrary orthonormal matrix basis (used
 for Sylvester-structured approximate polynomial GCDs). An independent
 variable-projection oracle certifies computed solutions.
+
+The package namespace holds what the README uses, the exceptions, and the
+result and structure types those return; everything else is imported from
+its module (``singdist.solver``, ``singdist.linalg``, ``singdist.mmio``, ...).
 """
 
+from . import gcd, linalg, mmio, oracle, solver, structure
 from .errors import (
     AllStartsFailed,
     DimensionMismatchError,
@@ -18,57 +23,22 @@ from .errors import (
     StructureError,
     TripletError,
 )
-from .structure import (
-    BasisStructure,
-    FullStructure,
-    LinearStructure,
-    SparsityPattern,
-    as_dense,
-)
-from .linalg import (
-    frobenius_norm,
-    smallest_singular_triplets,
-    solve_dense,
-    solve_symmetric_iterative,
-    spectral_norm,
-)
-from .solver import (
-    ProblemInstance,
-    SolveResult,
-    SolverOptions,
-    apply_H_beta,
-    assemble_H_beta,
-    line_search_newton,
-    residual_G,
-    residual_G_beta,
-    solve,
-    starting_values,
-)
-from .oracle import CertificationReport, OracleEval, certify_solution, evaluate
+from .structure import BasisStructure, FullStructure, LinearStructure, SparsityPattern
+from .solver import ProblemInstance, SolveResult, SolverOptions, solve
+from .oracle import CertificationReport, certify_solution
 from .gcd import (
+    CofactorExtraction,
     GcdResult,
     PolynomialPair,
     SylvesterInstance,
     build_sylvester,
     extract_cofactors,
     gcd_distance,
-    make_test_polynomials,
-)
-from .mmio import (
-    read_basis,
-    read_matrix,
-    read_pattern,
-    read_polynomial_pair,
-    read_vector,
-    write_matrix,
-    write_polynomial_pair,
-    write_vector,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
     "SingdistError",
     "StructureError",
     "DimensionMismatchError",
@@ -80,39 +50,17 @@ __all__ = [
     "FullStructure",
     "SparsityPattern",
     "BasisStructure",
-    "as_dense",
-    "frobenius_norm",
-    "spectral_norm",
-    "smallest_singular_triplets",
-    "solve_dense",
-    "solve_symmetric_iterative",
     "SolverOptions",
     "ProblemInstance",
     "SolveResult",
-    "residual_G",
-    "residual_G_beta",
-    "apply_H_beta",
-    "assemble_H_beta",
-    "starting_values",
-    "line_search_newton",
     "solve",
-    "OracleEval",
     "CertificationReport",
-    "evaluate",
     "certify_solution",
     "PolynomialPair",
     "SylvesterInstance",
     "GcdResult",
-    "make_test_polynomials",
+    "CofactorExtraction",
     "build_sylvester",
     "gcd_distance",
     "extract_cofactors",
-    "read_matrix",
-    "write_matrix",
-    "read_pattern",
-    "read_basis",
-    "read_vector",
-    "write_vector",
-    "read_polynomial_pair",
-    "write_polynomial_pair",
 ]

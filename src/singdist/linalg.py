@@ -21,9 +21,10 @@ backends stay swappable:
   residual and returns it, so callers can treat inexact solutions as search
   directions.
 
-Input with more than ``dense_threshold`` total unknowns (m + n) takes the
-sparse and Krylov routes; every function that routes by size takes the
-threshold as an argument, so one caller setting moves every route.
+Input with more than ``DENSE_THRESHOLD`` total unknowns (m + n) takes the
+sparse and Krylov routes. Every route, here and in the solver, reads the
+module constant at call time, so setting ``linalg.DENSE_THRESHOLD`` moves
+them all.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatchError, StructureError, TripletError
+from .structure import as_dense
 
 __all__ = [
     "smallest_singular_triplets",
@@ -49,7 +51,6 @@ __all__ = [
     "IterativeSolve",
     "validate_matrix",
     "frobenius_norm",
-    "as_dense",
 ]
 
 #: problems with at most this many total unknowns (m + n), dense or sparse,
@@ -109,12 +110,6 @@ def frobenius_norm(A):
     if sp.issparse(A):
         return float(np.sqrt((A.data**2).sum()))
     return float(np.linalg.norm(A, "fro"))
-
-
-def as_dense(A):
-    if sp.issparse(A):
-        return np.asarray(A.todense())
-    return np.asarray(A)
 
 
 class LUFactor:
@@ -201,30 +196,25 @@ def _sparse_triplets(A, k, seed, factor):
     return out
 
 
-def spectral_norm(A, seed=0, dense_threshold=DENSE_THRESHOLD):
-    """Largest singular value of ``A`` (Lanczos for sparse input above the threshold)."""
-    if sp.issparse(A):
-        m, n = A.shape
-        if min(m, n) <= 2 or m + n <= dense_threshold:
-            return float(np.linalg.norm(as_dense(A), 2))
-        rng = np.random.default_rng(seed)
-        s = spla.svds(
-            A, k=1, which="LM", v0=rng.standard_normal(min(m, n)), return_singular_vectors=False
-        )
-        return float(s[0])
-    return float(np.linalg.norm(A, 2))
+def spectral_norm(A, seed=0):
+    """Largest singular value of a sparse ``A`` by Lanczos (``svds``); needs min(m, n) >= 2."""
+    rng = np.random.default_rng(seed)
+    s = spla.svds(
+        A, k=1, which="LM", v0=rng.standard_normal(min(A.shape)), return_singular_vectors=False
+    )
+    return float(s[0])
 
 
-def smallest_singular_triplets(A, k=1, seed=0, *, factor=None, dense_threshold=DENSE_THRESHOLD):
+def smallest_singular_triplets(A, k=1, seed=0, *, factor=None):
     """The ``k`` smallest singular triplets of ``A``, ascending in sigma, and sigma_max(A).
 
     Returns ``(trips, sigma_max)``: a list of (sigma, u, v) with unit-norm
     vectors satisfying ``A v = sigma u`` and ``A^T u = sigma v`` to a
     relative residual of 1e-10, and the largest singular value of ``A``,
-    which every route computes for that check. Dense, rectangular or small input (m + n at most
-    ``dense_threshold``) uses a full SVD. Large sparse square input uses
-    shift-and-invert Lanczos through ``factor``, an ``LUFactor`` of A that is
-    built here when not given. If A cannot be factored or Lanczos fails, the
+    which every route computes for that check. Dense, rectangular or small
+    input (m + n at most ``DENSE_THRESHOLD``) uses a full SVD. Large sparse
+    square input uses shift-and-invert Lanczos through ``factor``, an
+    ``LUFactor`` of A that is built here when not given. If A cannot be factored or Lanczos fails, the
     dense SVD takes over up to order ``DENSE_FALLBACK_MAX_N``; beyond it
     ``TripletError`` is raised. A triplet residual above the bound raises
     ``TripletError`` with the achieved residual.
@@ -233,7 +223,7 @@ def smallest_singular_triplets(A, k=1, seed=0, *, factor=None, dense_threshold=D
     m, n = A.shape
     if k < 1 or k > min(m, n):
         raise DimensionMismatchError(f"k={k} out of range for shape {A.shape}")
-    if not sp.issparse(A) or m + n <= dense_threshold or m != n:
+    if not sp.issparse(A) or m + n <= DENSE_THRESHOLD or m != n:
         trips, norm_a = _dense_triplets(A, k)
     else:
         try:
@@ -242,7 +232,7 @@ def smallest_singular_triplets(A, k=1, seed=0, *, factor=None, dense_threshold=D
             if factor is None:
                 raise TripletError("A is exactly singular; no LU for shift-and-invert")
             trips = _sparse_triplets(A, k, seed, factor)
-            norm_a = spectral_norm(A, seed=seed, dense_threshold=dense_threshold)
+            norm_a = spectral_norm(A, seed=seed)
         except (TripletError, RuntimeError, np.linalg.LinAlgError) as exc:
             # singular factorization, Lanczos breakdown or no convergence
             if n > DENSE_FALLBACK_MAX_N:
@@ -289,7 +279,11 @@ def solve_dense(M, b):
     if anorm == 0:
         x, *_ = np.linalg.lstsq(M, b, rcond=RCOND_CUTOFF)
         return DenseSolve(x=x, rcond=0.0, used_least_squares=True)
-    lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
+    with warnings.catch_warnings():
+        # LAPACK's exact-singularity warning: dgecon then reports rcond 0
+        # and the least-squares branch below takes over
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
     rcond, _info = scipy.linalg.lapack.dgecon(lu, anorm)
     rcond = float(rcond)
     if not np.isfinite(rcond) or rcond < RCOND_CUTOFF:

@@ -24,11 +24,9 @@ of smallest ||Delta||.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import functools
 import math
-import os
 import time
 import warnings
 
@@ -71,11 +69,9 @@ class SolverOptions:
     ``beta`` and ``grad_tol`` default to ``None``, meaning ||A||_F and
     1e-12 ||A||_F respectively, resolved per instance. ``inner_tol`` is the
     forcing term of the Krylov path: every inner GMRES solve must reach a
-    true relative residual of at most ``inner_tol``. ``dense_threshold``
-    routes every size decision of a solve: problems with m + n at most it
-    assemble H_beta densely, larger ones with an LU of A take the Krylov
-    Newton step, and larger sparse ones also the sparse triplet and
-    certificate routes (see ``ProblemInstance.use_dense_newton``).
+    true relative residual of at most ``inner_tol``. Which path a solve
+    takes is decided by size, not by an option: see
+    ``ProblemInstance.use_dense_newton`` and ``linalg.DENSE_THRESHOLD``.
     """
 
     beta: float | None = None
@@ -85,9 +81,7 @@ class SolverOptions:
     multistart: int = 1
     multistart_mode: str = "full"  # "full" runs every start, "cheap" only argmin sigma_hat
     inner_tol: float = 1e-2
-    dense_threshold: int = linalg.DENSE_THRESHOLD
     seed: int = 0
-    threads: int | None = None
 
     def __post_init__(self):
         if self.beta is not None and self.beta <= 0:
@@ -147,13 +141,13 @@ class ProblemInstance:
     def use_dense_newton(self):
         """Whether the Newton step assembles H_beta densely.
 
-        True up to ``dense_threshold`` unknowns (m + n), and also up to
+        True up to ``linalg.DENSE_THRESHOLD`` unknowns (m + n), and also up to
         ``linalg.DENSE_FALLBACK_MAX_N`` when A has no LU (rectangular or
         exactly singular): unpreconditioned GMRES stalls on such systems
         where the dense solve and its least-squares fallback converge.
         """
         size = self.m + self.n
-        if size <= self.options.dense_threshold:
+        if size <= linalg.DENSE_THRESHOLD:
             return True
         return self.factor is None and size <= linalg.DENSE_FALLBACK_MAX_N
 
@@ -161,19 +155,17 @@ class ProblemInstance:
     def factor(self):
         """``linalg.LUFactor`` of A, shared by the triplets and the Newton preconditioner.
 
-        Built on first use above ``dense_threshold``; None at or below it,
-        and when A is rectangular or exactly singular.
+        Built on first use above ``linalg.DENSE_THRESHOLD``; None at or below
+        it, and when A is rectangular or exactly singular.
         """
-        if self.m != self.n or self.m + self.n <= self.options.dense_threshold:
+        if self.m != self.n or self.m + self.n <= linalg.DENSE_THRESHOLD:
             return None
         return linalg.factorize(self.A)
 
     def singular_triplets(self, k):
         """The k smallest singular triplets of A and sigma_max(A), routed by the instance."""
         return linalg.smallest_singular_triplets(
-            self.A, k, seed=self.options.seed, factor=self.factor,
-            dense_threshold=self.options.dense_threshold,
-        )
+            self.A, k, seed=self.options.seed, factor=self.factor)
 
     def dense_A(self):
         if self._A_dense is None:
@@ -268,8 +260,6 @@ class SolverState:
     v: np.ndarray
     residual: np.ndarray
     residual_norm: float
-    iteration: int = 0
-    alpha: float = math.nan
 
     @classmethod
     def at(cls, P: ProblemInstance, u, v, beta=None):
@@ -447,8 +437,6 @@ def line_search_newton(P: ProblemInstance, start_u, start_v, start_index: int = 
         state.u, state.v = u_try, v_try
         state.residual = g_try
         state.residual_norm = gn_try
-        state.iteration = it
-        state.alpha = alpha
         trace.append(IterationRecord(it, gn_try, alpha, bt,
                                      inner.iterations if inner else 0,
                                      inner.converged if inner else True))
@@ -516,12 +504,10 @@ def _certificate_sigmas(P: ProblemInstance, delta):
             B = (P.A + delta).tocsr()
         else:
             B = P.dense_A() + as_dense(delta)
-        if not sp.issparse(B) or P.m + P.n <= P.options.dense_threshold or P.m != P.n:
+        if not sp.issparse(B) or P.m + P.n <= linalg.DENSE_THRESHOLD or P.m != P.n:
             s = np.linalg.svd(as_dense(B), compute_uv=False)
             return float(s[-1]), float(s[0]), ""
-        trips, smax = linalg.smallest_singular_triplets(
-            B, 1, seed=P.options.seed, dense_threshold=P.options.dense_threshold,
-        )
+        trips, smax = linalg.smallest_singular_triplets(B, 1, seed=P.options.seed)
         return float(trips[0][0]), float(smax), ""
     except (SingdistError, RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
         return None, None, f"sigma(A+Delta) not computed: {type(exc).__name__}"
@@ -540,18 +526,6 @@ def _summarize(start: StartingPoint, result: SolveResult | None):
         if not result.converged:
             s.reason = result.message
     return s
-
-
-def _thread_budget(options: SolverOptions):
-    if options.threads is not None:
-        return max(1, options.threads)
-    env = os.environ.get("SINGDIST_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            warnings.warn(f"ignoring invalid SINGDIST_THREADS={env!r}", stacklevel=2)
-    return 1
 
 
 def solve(P: ProblemInstance) -> SolveResult:
@@ -598,14 +572,7 @@ def solve(P: ProblemInstance) -> SolveResult:
             "every start was skipped (structure orthogonal to all rank-1 directions)",
             starts=[_summarize(s, None) for s in starts],
         )
-    workers = min(_thread_budget(P.options), len(runnable))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda s: line_search_newton(P, s.u0, s.v0, s.index), runnable)
-            )
-    else:
-        results = [line_search_newton(P, s.u0, s.v0, s.index) for s in runnable]
+    results = [line_search_newton(P, s.u0, s.v0, s.index) for s in runnable]
     by_index = {s.index: r for s, r in zip(runnable, results)}
     summaries = [_summarize(s, by_index.get(s.index)) for s in starts]
     converged = [r for r in results if r.converged]

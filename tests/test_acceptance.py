@@ -19,18 +19,20 @@ from singdist import (
     ProblemInstance,
     SolverOptions,
     SparsityPattern,
-    apply_H_beta,
-    as_dense,
-    assemble_H_beta,
     certify_solution,
-    evaluate,
     gcd_distance,
-    line_search_newton,
-    make_test_polynomials,
-    residual_G_beta,
     solve,
+)
+from singdist.gcd import make_test_polynomials
+from singdist.oracle import evaluate
+from singdist.solver import (
+    apply_H_beta,
+    assemble_H_beta,
+    line_search_newton,
+    residual_G_beta,
     starting_values,
 )
+from singdist.structure import as_dense
 
 
 def _report(num, label, failures, t0, budget=None):
@@ -248,7 +250,7 @@ def test_criterion_7_orani678_economic_matrix():
         print(f"criterion 7 SKIP: orani678 not present at {path} "
               "(run scripts/fetch_orani678.py)", flush=True)
         pytest.skip("orani678.mtx not available")
-    from singdist import read_matrix
+    from singdist.mmio import read_matrix
 
     failures = []
     A = read_matrix(path)

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from singdist import make_test_polynomials, write_matrix, write_polynomial_pair, write_vector
+from singdist.gcd import make_test_polynomials
+from singdist.mmio import write_matrix, write_polynomial_pair, write_vector
 from singdist.cli import main, render_report
 
 
@@ -51,13 +52,13 @@ def test_solve_default_pattern_structure(tmp_path):
 
 
 def test_solve_writes_delta(tmp_path):
-    from singdist import read_matrix
+    from singdist.mmio import read_matrix
 
     mat = write_diag(tmp_path)
     delta_path = tmp_path / "delta.mtx"
     assert run(["solve", mat, "--full", "--write-delta", delta_path]) == 0
     D = read_matrix(delta_path)
-    from singdist import as_dense
+    from singdist.structure import as_dense
 
     assert np.allclose(as_dense(D), np.diag([0.0, -1.0]), atol=1e-10)
 
@@ -209,7 +210,8 @@ def test_certify_pipeline_and_negative_controls(tmp_path):
     assert run(["certify", mat, delta_path, bad_v_path, "--full"]) == 2
 
     # off-structure delta: projection residual check fails
-    from singdist import as_dense, read_matrix
+    from singdist.mmio import read_matrix
+    from singdist.structure import as_dense
 
     D = as_dense(read_matrix(delta_path))
     pattern_file = tmp_path / "pat.mtx"

@@ -6,12 +6,12 @@ import pytest
 from singdist import (
     InputError,
     PolynomialPair,
-    as_dense,
     build_sylvester,
     extract_cofactors,
     gcd_distance,
-    make_test_polynomials,
 )
+from singdist.gcd import make_test_polynomials
+from singdist.structure import as_dense
 
 
 def polyval_ascending(c, x):

@@ -8,22 +8,20 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from singdist import (
-    InputError,
-    PolynomialPair,
-    SparsityPattern,
-    as_dense,
-    make_test_polynomials,
+from singdist import InputError, SparsityPattern
+from singdist.gcd import make_test_polynomials
+from singdist.mmio import (
     read_basis,
     read_matrix,
     read_pattern,
     read_polynomial_pair,
     read_vector,
+    write_basis,
     write_matrix,
     write_polynomial_pair,
     write_vector,
 )
-from singdist.mmio import write_basis
+from singdist.structure import as_dense
 from conftest import random_orthonormal_basis
 
 

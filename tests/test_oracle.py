@@ -7,12 +7,12 @@ from singdist import (
     FullStructure,
     ProblemInstance,
     SparsityPattern,
-    as_dense,
+    StructureError,
     certify_solution,
-    evaluate,
     solve,
 )
-from singdist.errors import StructureError
+from singdist.oracle import evaluate
+from singdist.structure import as_dense
 from conftest import pattern_instance, random_orthonormal_basis
 
 
@@ -173,7 +173,7 @@ def test_certification_rejects_dead_row_saddle():
     cert = certify_solution(P, res)
     assert not cert.passed  # ...but the oracle correctly is not
     assert cert.grad_norm > 1e-4
-    from singdist import assemble_H_beta
+    from singdist.solver import assemble_H_beta
 
     eigs = np.linalg.eigvalsh(assemble_H_beta(P, res.u, res.v))
     assert eigs[0] < -1e-8  # a saddle, not a minimum

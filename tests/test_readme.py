@@ -1,0 +1,52 @@
+"""The README's code runs, and the package exports exactly its public surface."""
+
+import ast
+import pathlib
+import re
+
+import pytest
+
+import singdist
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+#: the names the README uses, the exceptions, and the result and structure
+#: types those return
+PUBLIC_NAMES = {
+    "SingdistError", "StructureError", "DimensionMismatchError", "TripletError",
+    "AllStartsFailed", "ExtractionError", "InputError",
+    "LinearStructure", "FullStructure", "SparsityPattern", "BasisStructure",
+    "SolverOptions", "ProblemInstance", "SolveResult", "solve",
+    "CertificationReport", "certify_solution",
+    "PolynomialPair", "SylvesterInstance", "GcdResult", "CofactorExtraction",
+    "build_sylvester", "gcd_distance", "extract_cofactors",
+}
+
+#: modules looked up as attributes of the package (the benchmark's tracer does)
+MODULES = ("solver", "linalg", "oracle", "gcd", "mmio", "structure")
+
+
+def python_blocks():
+    return re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+
+
+def test_readme_has_python_blocks():
+    assert len(python_blocks()) >= 2
+
+
+@pytest.mark.parametrize("index", range(len(python_blocks())))
+def test_readme_block_runs_on_exported_names(index):
+    code = python_blocks()[index]
+    for node in ast.walk(ast.parse(code)):
+        if isinstance(node, ast.ImportFrom) and node.module == "singdist":
+            assert {alias.name for alias in node.names} <= set(singdist.__all__)
+    exec(compile(code, f"README.md python block {index}", "exec"), {})
+
+
+def test_public_surface():
+    assert set(singdist.__all__) == PUBLIC_NAMES
+    assert len(singdist.__all__) == len(PUBLIC_NAMES)
+    for name in singdist.__all__:
+        assert getattr(singdist, name) is not None
+    for module in MODULES:
+        assert getattr(singdist, module).__name__ == f"singdist.{module}"

@@ -12,17 +12,20 @@ from singdist import (
     ProblemInstance,
     SolverOptions,
     SparsityPattern,
+    linalg,
+    solve,
+)
+from singdist.solver import (
+    SolverState,
     apply_H_beta,
-    as_dense,
     assemble_H_beta,
     line_search_newton,
+    newton_step,
     residual_G,
     residual_G_beta,
-    solve,
     starting_values,
 )
-from singdist import linalg
-from singdist.solver import newton_step, SolverState
+from singdist.structure import as_dense
 from conftest import pattern_instance, random_orthonormal_basis
 
 
@@ -313,16 +316,6 @@ def test_all_starts_failed_carries_best():
     assert len(exc.value.starts) == 1
 
 
-def test_threaded_multistart_matches_serial():
-    rng = np.random.default_rng(33)
-    Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-    A = np.where(rng.random((20, 20)) < 0.5, Q, 0.0)
-    r1 = solve(ProblemInstance(A, options=SolverOptions(multistart=3)))
-    r2 = solve(ProblemInstance(A, options=SolverOptions(multistart=3, threads=3)))
-    assert r1.distance == r2.distance
-    assert r1.start_index == r2.start_index
-
-
 def test_rectangular_instance_rank_deficiency():
     # distance to the nearest rank-deficient 3x2 matrix is sigma_2
     rng = np.random.default_rng(34)
@@ -339,10 +332,11 @@ def sparse_instance(n, seed, density=0.08):
     return sp.csr_array(A + sp.diags(0.5 + np.random.default_rng(seed).random(n)))
 
 
-def test_krylov_path_matches_dense_path():
+def test_krylov_path_matches_dense_path(monkeypatch):
     A = sparse_instance(80, 40)
     dense = solve(ProblemInstance(A))
-    P = ProblemInstance(A, options=SolverOptions(dense_threshold=100))
+    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 100)
+    P = ProblemInstance(A)
     assert not P.use_dense_newton and P.factor is not None
     krylov = solve(P)
     assert dense.converged and krylov.converged
@@ -352,13 +346,14 @@ def test_krylov_path_matches_dense_path():
     assert krylov.sigma_min <= 1e-10 * krylov.sigma_max and krylov.sigma_error == ""
 
 
-def test_krylov_newton_step_meets_inner_tol():
+def test_krylov_newton_step_meets_inner_tol(monkeypatch):
     # the true relative residual of the inexact Newton step, measured
     # against the assembled H_beta, is within the forcing term
     A = sparse_instance(80, 40)
     rng = np.random.default_rng(41)
+    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 100)
     for inner_tol in (1e-2, 1e-6):
-        P = ProblemInstance(A, options=SolverOptions(dense_threshold=100, inner_tol=inner_tol))
+        P = ProblemInstance(A, options=SolverOptions(inner_tol=inner_tol))
         start = starting_values(P, 1)[0]
         for scale in (0.0, 0.1):
             state = SolverState.at(P, start.u0 + scale * rng.standard_normal(80), start.v0)
@@ -368,12 +363,13 @@ def test_krylov_newton_step_meets_inner_tol():
             assert true <= inner_tol * state.residual_norm
 
 
-def test_singular_sparse_input_above_threshold_short_circuits():
+def test_singular_sparse_input_above_threshold_short_circuits(monkeypatch):
     # an exactly singular square input has no LU; the triplets fall back to
     # the dense SVD and the solve reports distance 0
     A = sparse_instance(60, 42).tolil()
     A[7, :] = 0.0
-    P = ProblemInstance(sp.csr_array(A), options=SolverOptions(dense_threshold=50))
+    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 50)
+    P = ProblemInstance(sp.csr_array(A))
     assert P.factor is None
     res = solve(P)
     assert res.converged and res.distance == 0.0
@@ -386,7 +382,8 @@ def test_rectangular_sparse_input_routing(monkeypatch):
     # through the same GMRES entry point, restarting (order 150 > 50)
     A = sp.csr_array(sp.random(60, 90, density=0.3, random_state=np.random.RandomState(44)))
     dense = solve(ProblemInstance(A))
-    P = ProblemInstance(A, options=SolverOptions(dense_threshold=20))
+    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 20)
+    P = ProblemInstance(A)
     assert P.factor is None and P.use_dense_newton
     monkeypatch.setattr(linalg, "DENSE_FALLBACK_MAX_N", 100)
     assert P.m + P.n > linalg.GMRES_RESTART and not P.use_dense_newton

@@ -9,8 +9,8 @@ from singdist import (
     FullStructure,
     SparsityPattern,
     StructureError,
-    as_dense,
 )
+from singdist.structure import as_dense
 from conftest import random_orthonormal_basis, random_pattern
 
 

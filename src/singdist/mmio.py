@@ -68,8 +68,7 @@ def read_pattern(path) -> SparsityPattern:
     if not sp.issparse(M):
         raise InputError(f"{path!r} is a dense array; pattern files must be coordinate format")
     coo = sp.coo_array(M)
-    entries = list(zip(coo.row.tolist(), coo.col.tolist()))
-    return SparsityPattern(coo.shape[0], coo.shape[1], entries)
+    return SparsityPattern(coo.shape[0], coo.shape[1], np.column_stack((coo.row, coo.col)))
 
 
 def read_basis(directory) -> BasisStructure:

@@ -61,6 +61,9 @@ SINGULAR_INPUT_RTOL = 1e-14
 #: starts whose projected rank-1 direction has norm below this are skipped
 START_PROJECTION_TOL = 1e-14
 
+#: step halvings tried per Newton iteration before the run stops without descent
+MAX_BACKTRACKS = 40
+
 
 @dataclasses.dataclass
 class SolverOptions:
@@ -77,7 +80,6 @@ class SolverOptions:
     beta: float | None = None
     grad_tol: float | None = None
     max_newton_iters: int = 100
-    max_backtracks: int = 40
     multistart: int = 1
     multistart_mode: str = "full"  # "full" runs every start, "cheap" only argmin sigma_hat
     inner_tol: float = 1e-2
@@ -88,7 +90,7 @@ class SolverOptions:
             raise ValueError("beta must be positive")
         if self.grad_tol is not None and self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-        if self.max_newton_iters < 1 or self.max_backtracks < 0:
+        if self.max_newton_iters < 1:
             raise ValueError("iteration budgets must be positive")
         if self.multistart < 1:
             raise ValueError("multistart must be at least 1")
@@ -145,11 +147,9 @@ class ProblemInstance:
         ``linalg.DENSE_FALLBACK_MAX_N`` when A has no LU (rectangular or
         exactly singular): unpreconditioned GMRES stalls on such systems
         where the dense solve and its least-squares fallback converge.
+        ``factor`` is None at or below the threshold, so one test covers both.
         """
-        size = self.m + self.n
-        if size <= linalg.DENSE_THRESHOLD:
-            return True
-        return self.factor is None and size <= linalg.DENSE_FALLBACK_MAX_N
+        return self.factor is None and self.m + self.n <= linalg.DENSE_FALLBACK_MAX_N
 
     @functools.cached_property
     def factor(self):
@@ -419,7 +419,7 @@ def line_search_newton(P: ProblemInstance, start_u, start_v, start_index: int = 
         du, dv, inner = newton_step(P, state, beta)
         alpha = 1.0
         accepted = False
-        for bt in range(opts.max_backtracks + 1):
+        for bt in range(MAX_BACKTRACKS + 1):
             u_try = state.u + alpha * du
             v_try = state.v + alpha * dv
             g_try = residual_G_beta(P, u_try, v_try, beta)
@@ -431,7 +431,7 @@ def line_search_newton(P: ProblemInstance, start_u, start_v, start_index: int = 
         if not accepted:
             return _finalize(
                 P, state, False,
-                f"no descent within {opts.max_backtracks} backtracks at iteration {it}",
+                f"no descent within {MAX_BACKTRACKS} backtracks at iteration {it}",
                 trace, start_index, t0,
             )
         state.u, state.v = u_try, v_try
@@ -543,25 +543,10 @@ def solve(P: ProblemInstance) -> SolveResult:
     sigma_min_a = trips[0][0]
     if sigma_min_a <= SINGULAR_INPUT_RTOL * max(sigma_max_a, 1e-300):
         # Already singular: the zero perturbation is optimal.
-        v = trips[0][2]
-        u = np.zeros(P.m)
-        delta = P.structure.project_rank1(u, v)
-        return SolveResult(
-            converged=True,
-            distance=0.0,
-            delta=delta,
-            u=u,
-            v=v,
-            residual_av=float(np.linalg.norm(P.matvec(v))),
-            residual_atu=0.0,
-            grad_norm=float(np.linalg.norm(residual_G_beta(P, u, v))),
-            iterations=0,
-            trace=[],
-            message="input numerically singular; distance 0",
-            sigma_min=float(sigma_min_a),
-            sigma_max=float(sigma_max_a),
-            wall_time=time.perf_counter() - t0,
-        )
+        result = _finalize(P, SolverState.at(P, np.zeros(P.m), trips[0][2]), True,
+                           "input numerically singular; distance 0", [], 0, t0)
+        result.sigma_min, result.sigma_max = float(sigma_min_a), float(sigma_max_a)
+        return result
     starts = starting_values(P, K, trips)
     runnable = [s for s in starts if not s.skipped]
     if P.options.multistart_mode == "cheap" and len(runnable) > 1:

@@ -333,60 +333,56 @@ class SparsityPattern(LinearStructure):
 class BasisStructure(LinearStructure):
     """Structure given by an explicit orthonormal basis of sparse matrices.
 
-    Orthonormality in the Frobenius inner product is verified at construction
-    (tolerance 1e-12) and violations are rejected rather than repaired, since
-    silently re-orthonormalizing would change the subspace the caller asked
-    for. Basis elements may have overlapping supports.
+    The basis is held as one sparse p x E matrix V whose row k is vec(B_k)
+    restricted to the E entries that some basis matrix touches, so memory
+    follows the basis, not m n. Orthonormality in the Frobenius inner
+    product is verified at construction on the entries of the Gram matrix
+    V V^T (tolerance 1e-12), and violations are rejected rather than
+    repaired, since silently re-orthonormalizing would change the subspace
+    the caller asked for. Basis elements may have overlapping supports;
+    duplicate entries within one element are summed.
     """
 
-    #: pairwise Frobenius orthonormality tolerance enforced at construction
+    #: tolerance on every entry of the Gram matrix minus the identity
     ORTHONORMALITY_TOL = 1e-12
 
     def __init__(self, mats):
         if len(mats) == 0:
             raise StructureError("basis must contain at least one matrix")
-        converted = []
         shape = None
+        idx, flat, vals = [], [], []
         for k, B in enumerate(mats):
-            B = sp.csr_array(B)
+            B = sp.coo_array(B)
             _check_real(B.data, f"basis matrix {k}")
-            B = B.astype(float)
             if shape is None:
                 shape = B.shape
             elif B.shape != shape:
                 raise StructureError("basis matrices must share one shape")
-            converted.append(B)
+            idx.append(np.full(B.nnz, k))
+            flat.append(np.ravel_multi_index((B.row, B.col), shape))
+            vals.append(B.data.astype(float))
         self.shape = (int(shape[0]), int(shape[1]))
-        self.dim = len(converted)
+        self.dim = len(mats)
         if self.dim > self.shape[0] * self.shape[1]:
             raise StructureError("more basis matrices than matrix entries")
-        self.basis = tuple(converted)
-        self._validate_orthonormal()
-        # Flattened COO view of the whole basis for vectorized operator
-        # application: entry t belongs to basis matrix _idx[t].
-        idx, rows, cols, vals = [], [], [], []
-        for k, B in enumerate(converted):
-            coo = sp.coo_array(B)
-            idx.append(np.full(coo.nnz, k))
-            rows.append(coo.row)
-            cols.append(coo.col)
-            vals.append(coo.data)
-        self._idx = np.concatenate(idx)
-        self._rows = np.concatenate(rows)
-        self._cols = np.concatenate(cols)
-        self._vals = np.concatenate(vals)
-
-    def _validate_orthonormal(self):
-        tol = self.ORTHONORMALITY_TOL
-        for i in range(self.dim):
-            Bi = self.basis[i]
-            for j in range(i, self.dim):
-                g = Bi.multiply(self.basis[j]).sum()
-                want = 1.0 if i == j else 0.0
-                if abs(g - want) > tol:
-                    raise StructureError(
-                        f"basis not orthonormal: <B{i}, B{j}> = {g:.3e}"
-                    )
+        # Compress the columns to the touched entries; CSR conversion sums
+        # duplicates and orders each row by entry, i.e. row-major per B_k.
+        entries, col = np.unique(np.concatenate(flat), return_inverse=True)
+        V = sp.csr_array((np.concatenate(vals), (np.concatenate(idx), col)),
+                         shape=(self.dim, entries.size))
+        D = sp.coo_array(sp.triu(V @ V.T - sp.eye_array(self.dim)))
+        bad = np.flatnonzero(np.abs(D.data) > self.ORTHONORMALITY_TOL)
+        if bad.size:
+            t = bad[np.lexsort((D.col[bad], D.row[bad]))[0]]
+            i, j = int(D.row[t]), int(D.col[t])
+            g = D.data[t] + (i == j)
+            raise StructureError(f"basis not orthonormal: <B{i}, B{j}> = {g:.3e}")
+        # COO view of V for vectorized operator application: entry t belongs
+        # to basis matrix _idx[t] at position (_rows[t], _cols[t]).
+        V = sp.coo_array(V)
+        self._idx = V.row.astype(np.intp)
+        self._rows, self._cols = np.unravel_index(entries[V.col], self.shape)
+        self._vals = V.data
 
     def __repr__(self):
         return f"BasisStructure({self.shape[0]}x{self.shape[1]}, p={self.dim})"

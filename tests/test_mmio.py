@@ -8,7 +8,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from singdist import InputError, SparsityPattern
+from singdist import InputError, SparsityPattern, StructureError
 from singdist.gcd import make_test_polynomials
 from singdist.mmio import (
     read_basis,
@@ -65,6 +65,13 @@ def test_read_pattern_format_file(tmp_path):
     )
     S = read_pattern(path)
     assert np.array_equal(S.entries(), [[0, 0], [1, 1]])
+
+
+def test_read_pattern_rejects_empty_file(tmp_path):
+    path = tmp_path / "p.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate pattern general\n2 2 0\n")
+    with pytest.raises(StructureError, match="at least one entry"):
+        read_pattern(path)
 
 
 def test_read_pattern_rejects_dense(tmp_path):

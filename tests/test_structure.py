@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from singdist import (
     BasisStructure,
@@ -196,10 +197,15 @@ def test_pattern_canonical_order_and_duplicates():
 
 def test_basis_rejects_non_orthonormal():
     P1 = np.eye(2)
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match=r"<B0, B0> = 2\.000e\+00"):
         BasisStructure([P1])  # ||P1||_F = sqrt(2) != 1
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match=r"<B0, B1>"):
         BasisStructure([np.eye(2) / np.sqrt(2), np.eye(2) / np.sqrt(2)])
+    with pytest.raises(StructureError, match=r"<B0, B0> = 0\.000e\+00"):
+        BasisStructure([np.zeros((2, 2)), np.diag([1.0, 0.0])])
+    E = [np.eye(2)[:, [i]] @ np.eye(2)[[j], :] for i in range(2) for j in range(2)]
+    with pytest.raises(StructureError, match=r"<B2, B3>"):
+        BasisStructure([E[0], E[1], E[2], E[2]])
 
 
 def test_complex_input_rejected():
@@ -223,3 +229,39 @@ def test_basis_coefficient_roundtrip():
     assert np.allclose(S.coefficients(X), c, atol=1e-12)
     # Frobenius norm of the expansion equals the coefficient norm
     assert abs(np.linalg.norm(X) - np.linalg.norm(c)) <= 1e-12
+
+
+def test_basis_on_huge_shape_stays_small():
+    # memory follows the touched entries, not m n: the flat entry index
+    # passes 2^31 and nothing of size m n is allocated
+    n = 10**6
+    s = np.sqrt(0.5)
+    B0 = sp.coo_array(([s, s], ([0, n - 1], [n - 1, 0])), shape=(n, n))
+    B1 = sp.coo_array(([1.0], ([n - 1], [n - 1])), shape=(n, n))
+    S = BasisStructure([B0, B1])
+    assert S.shape == (n, n) and S.dim == 2
+    v = np.zeros(n)
+    v[0], v[n - 1] = 2.0, 3.0
+    u = np.zeros(n)
+    u[0], u[n - 1] = 5.0, 7.0
+    y = S.apply_m(v, np.array([1.0, 4.0]))
+    assert y[0] == s * 3.0 and y[n - 1] == s * 2.0 + 12.0
+    assert np.count_nonzero(y) == 2
+    # <B0, u v^T> = s (u_0 v_{n-1} + u_{n-1} v_0), <B1, u v^T> = u_{n-1} v_{n-1}
+    c = S.apply_mt(v, u)
+    assert np.allclose(c, [s * (15.0 + 14.0), 21.0], rtol=1e-15)
+    D = sp.coo_array(S.project_rank1(u, v))
+    got = {(int(i), int(j)): x for i, j, x in zip(D.row, D.col, D.data)}
+    assert got.keys() == {(0, n - 1), (n - 1, 0), (n - 1, n - 1)}
+    assert np.isclose(got[(0, n - 1)], s * c[0], rtol=1e-15)
+    assert np.isclose(got[(n - 1, 0)], s * c[0], rtol=1e-15)
+    assert got[(n - 1, n - 1)] == c[1]
+
+
+def test_basis_sums_duplicate_coordinates():
+    # two stored halves of one entry form the unit element e_0 e_1^T
+    B0 = sp.coo_array(([0.5, 0.5], ([0, 0], [1, 1])), shape=(2, 2))
+    B1 = sp.coo_array(([1.0], ([1], [0])), shape=(2, 2))
+    S = BasisStructure([B0, B1])
+    assert np.array_equal(as_dense(S.from_coefficients([3.0, 2.0])), [[0.0, 3.0], [2.0, 0.0]])
+    assert np.array_equal(S.m_matrix(np.array([1.0, 10.0])), [[10.0, 0.0], [0.0, 1.0]])

@@ -320,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--grad-tol", type=float, default=None,
                     help="residual tolerance (default 1e-12 ||A||_F)")
     ps.add_argument("--inner-tol", type=float, default=1e-2,
-                    help="relative residual every inner GMRES solve of the Krylov path must reach")
+                    help="true relative residual every inner Krylov (GCROT) solve of the "
+                         "Krylov path must reach")
     ps.add_argument("--max-iters", type=int, default=100, help="Newton iteration budget")
     ps.add_argument("--seed", type=int, default=0, help="seed for randomized kernels")
     ps.add_argument("--out", metavar="FILE", help="write the JSON report here")

@@ -16,10 +16,11 @@ backends stay swappable:
 * ``solve_dense``: LU solve with a condition estimate, falling back to a
   minimum-norm least-squares solution when the matrix is numerically
   singular.
-* ``solve_symmetric_iterative``: GMRES for symmetric (possibly indefinite)
-  operators with an optional preconditioner. It stops on the true relative
-  residual and returns it, so callers can treat inexact solutions as search
-  directions.
+* ``solve_symmetric_iterative``: right-preconditioned flexible GCROT(m, k)
+  for symmetric (possibly indefinite) operators. It stops on the true
+  relative residual and returns it, so callers can treat inexact solutions
+  as search directions, and it can carry a recycled subspace from one
+  system to the next of a slowly varying sequence (the Newton steps).
 
 Input with more than ``DENSE_THRESHOLD`` total unknowns (m + n) takes the
 sparse and Krylov routes. Every route, here and in the solver, reads the
@@ -66,10 +67,14 @@ DENSE_THRESHOLD = 1000
 #: 4000^2 doubles is 128 MB.
 DENSE_FALLBACK_MAX_N = 4000
 
-#: GMRES restart length; the preconditioned Newton systems converge well
-#: before it, and an unpreconditioned system of at most this order runs full
-#: (unrestarted) GMRES
-GMRES_RESTART = 50
+#: inner FGMRES cycle length m of GCROT(m, k); the preconditioned Newton
+#: systems converge within one cycle. A solve that starts with nothing to
+#: recycle runs a first cycle of GCROT_CYCLE + GCROT_RECYCLE directions.
+GCROT_CYCLE = 50
+
+#: recycled dimension k of GCROT(m, k): the most (c, u) pairs carried from one
+#: cycle to the next, and (with the solution) from one system to the next
+GCROT_RECYCLE = 10
 
 #: relative singular-value cutoff below which solve_dense switches to
 #: minimum-norm least squares
@@ -313,17 +318,28 @@ def _as_operator(op, n):
     raise StructureError(f"unsupported operator type {type(op)!r}")
 
 
-def solve_symmetric_iterative(op, b, tol=1e-10, max_iter=None, precond=None):
-    """GMRES on a symmetric (possibly indefinite) system, optionally preconditioned.
+def solve_symmetric_iterative(op, b, tol=1e-10, max_iter=None, precond=None, recycle=None):
+    """GCROT(m, k) on a symmetric (possibly indefinite) system, optionally preconditioned.
 
     ``op`` may be a matrix, a ``LinearOperator``, or a matvec callable; the
     caller asserts symmetry. ``precond`` approximates the inverse of ``op``
-    (any ``LinearOperator``; MINRES would need it positive definite, GMRES
-    does not). The solve stops when the true relative residual
-    ||b - op x|| / ||b|| is at most ``tol`` or after ``max_iter`` iterations
-    (default: the order of the system). Returns the iterate with that
-    achieved residual; an unconverged solve is not an error, since an
-    inexact step is still a usable search direction.
+    (any ``LinearOperator``; it need not be definite, nor symmetric) and is
+    applied on the right, so the residual minimised is the true one. The
+    solve stops when the true relative residual ||b - op x|| / ||b|| is at
+    most ``tol`` or after about ``max_iter`` new Krylov directions (default:
+    the order of the system), rounded up to whole ``GCROT_CYCLE`` cycles.
+    Each direction costs one application of ``precond`` (of the identity
+    when there is none) and one of ``op``; ``iterations`` counts them.
+
+    ``recycle`` is an optional list of ``(c, u)`` pairs, updated in place,
+    that carries a subspace of dimension at most ``GCROT_RECYCLE`` + 1 (the
+    last solution included) into the next call. On entry every ``c`` is
+    recomputed as ``op u`` for the operator at hand, so a list recycled
+    across changing operators still meets ``tol`` on the true residual; that
+    costs one ``op`` application per pair and no ``precond`` application.
+
+    Returns the iterate with that achieved residual; an unconverged solve is
+    not an error, since an inexact step is still a usable search direction.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -333,13 +349,17 @@ def solve_symmetric_iterative(op, b, tol=1e-10, max_iter=None, precond=None):
     linop = _as_operator(op, n)
     if max_iter is None:
         max_iter = n
-    restart = max(1, min(GMRES_RESTART, n, max_iter))
-    count = {"it": 0}
+    apply_precond = _as_operator(precond, n).matvec if precond is not None else np.asarray
+    count = 0
 
-    def _cb(_pr_norm):
-        count["it"] += 1
+    def counted_precond(x):
+        nonlocal count
+        count += 1
+        return apply_precond(x)
 
-    x, _info = spla.gmres(linop, b, rtol=tol, restart=restart, maxiter=-(-max_iter // restart),
-                          M=precond, callback=_cb, callback_type="pr_norm")
+    x, _info = spla.gcrotmk(
+        linop, b, rtol=tol, maxiter=-(-max_iter // GCROT_CYCLE), m=GCROT_CYCLE,
+        k=GCROT_RECYCLE, M=spla.LinearOperator((n, n), matvec=counted_precond, dtype=float),
+        CU=recycle, discard_C=True)
     res = float(np.linalg.norm(b - linop.matvec(x)) / bnorm)
-    return IterativeSolve(x=x, residual=res, iterations=count["it"], converged=res <= tol)
+    return IterativeSolve(x=x, residual=res, iterations=count, converged=res <= tol)

@@ -71,7 +71,7 @@ class SolverOptions:
 
     ``beta`` and ``grad_tol`` default to ``None``, meaning ||A||_F and
     1e-12 ||A||_F respectively, resolved per instance. ``inner_tol`` is the
-    forcing term of the Krylov path: every inner GMRES solve must reach a
+    forcing term of the Krylov path: every inner Krylov solve must reach a
     true relative residual of at most ``inner_tol``. Which path a solve
     takes is decided by size, not by an option: see
     ``ProblemInstance.use_dense_newton`` and ``linalg.DENSE_THRESHOLD``.
@@ -145,7 +145,7 @@ class ProblemInstance:
 
         True up to ``linalg.DENSE_THRESHOLD`` unknowns (m + n), and also up to
         ``linalg.DENSE_FALLBACK_MAX_N`` when A has no LU (rectangular or
-        exactly singular): unpreconditioned GMRES stalls on such systems
+        exactly singular): unpreconditioned Krylov solves stall on such systems
         where the dense solve and its least-squares fallback converge.
         ``factor`` is None at or below the threshold, so one test covers both.
         """
@@ -254,12 +254,18 @@ def assemble_H_beta(P: ProblemInstance, u, v, beta: float | None = None):
 
 @dataclasses.dataclass
 class SolverState:
-    """One Newton iterate with its cached residual."""
+    """One Newton iterate with its cached residual.
+
+    ``recycle`` holds the Krylov directions the Krylov-path Newton steps
+    pass from one step to the next (see ``linalg.solve_symmetric_iterative``);
+    a fresh state starts with none.
+    """
 
     u: np.ndarray
     v: np.ndarray
     residual: np.ndarray
     residual_norm: float
+    recycle: list = dataclasses.field(default_factory=list, repr=False)
 
     @classmethod
     def at(cls, P: ProblemInstance, u, v, beta=None):
@@ -279,13 +285,14 @@ def newton_step(P: ProblemInstance, state: SolverState, beta: float | None = Non
 
     Problems on the dense path (``P.use_dense_newton``) assemble H_beta and
     use the direct solver with its minimum-norm fallback (``inner`` is
-    None). The others apply H_beta matrix-free through GMRES to a true
-    relative residual of at most ``inner_tol``, preconditioned by the
-    inverse of [[0, A], [A^T, 0]] from the instance's LU of A (H_beta's
-    leading part while u and Delta are small); an A without LU gets here
-    only above ``linalg.DENSE_FALLBACK_MAX_N`` unknowns and runs
+    None). The others apply H_beta matrix-free through GCROT(m, k) to a
+    true relative residual of at most ``inner_tol``, right-preconditioned by
+    the inverse of [[0, A], [A^T, 0]] from the instance's LU of A (H_beta's
+    leading part while u and Delta are small) and recycling the Krylov
+    directions of the earlier steps on ``state.recycle``; an A without LU
+    gets here only above ``linalg.DENSE_FALLBACK_MAX_N`` unknowns and runs
     unpreconditioned. ``inner`` is the ``linalg.IterativeSolve`` with its
-    iterations and convergence.
+    iterations, achieved residual and convergence.
     """
     if beta is None:
         beta = P.beta
@@ -299,7 +306,7 @@ def newton_step(P: ProblemInstance, state: SolverState, beta: float | None = Non
     factor = P.factor
     it = linalg.solve_symmetric_iterative(
         lambda x: apply_H_beta(P, u, v, *_split(P, x), beta), rhs, tol=P.options.inner_tol,
-        precond=factor.aug_inverse() if factor is not None else None,
+        precond=factor.aug_inverse() if factor is not None else None, recycle=state.recycle,
     )
     du, dv = _split(P, it.x)
     return du, dv, it
@@ -307,7 +314,12 @@ def newton_step(P: ProblemInstance, state: SolverState, beta: float | None = Non
 
 @dataclasses.dataclass
 class IterationRecord:
-    """Per accepted iteration: residual after the step and step diagnostics."""
+    """Per accepted iteration: residual after the step and step diagnostics.
+
+    ``inner_residual`` is the true relative residual the Krylov solve of the
+    step achieved (requested: ``inner_tol``); NaN on the dense path and at
+    iteration 0.
+    """
 
     iteration: int
     residual_norm: float
@@ -315,6 +327,7 @@ class IterationRecord:
     backtracks: int
     inner_iterations: int
     inner_converged: bool = True
+    inner_residual: float = math.nan
 
 
 @dataclasses.dataclass
@@ -439,7 +452,8 @@ def line_search_newton(P: ProblemInstance, start_u, start_v, start_index: int = 
         state.residual_norm = gn_try
         trace.append(IterationRecord(it, gn_try, alpha, bt,
                                      inner.iterations if inner else 0,
-                                     inner.converged if inner else True))
+                                     inner.converged if inner else True,
+                                     inner.residual if inner else math.nan))
     if state.residual_norm <= grad_tol:
         return _finalize(P, state, True, "converged", trace, start_index, t0)
     return _finalize(

@@ -353,6 +353,8 @@ class BasisStructure(LinearStructure):
         idx, flat, vals = [], [], []
         for k, B in enumerate(mats):
             B = sp.coo_array(B)
+            if B.ndim != 2:
+                raise StructureError(f"basis matrix {k} must be 2-d, got shape {B.shape}")
             _check_real(B.data, f"basis matrix {k}")
             if shape is None:
                 shape = B.shape

@@ -126,6 +126,7 @@ def test_report_determinism(tmp_path):
         assert run(["solve", mat, "--full", "--out", out]) == 0
         rep = load_report(out)
         rep.pop("wall_time_s")  # the one deliberately volatile field
+        assert all("inner_residual" in r for r in rep["trace"])
         outs.append(json.dumps(rep, sort_keys=True))
     assert outs[0] == outs[1]
 

@@ -343,12 +343,16 @@ def test_krylov_path_matches_dense_path(monkeypatch):
     assert abs(krylov.distance - dense.distance) <= 1e-10 * dense.distance
     assert krylov.inner_iterations > 0
     assert all(r.inner_converged for r in krylov.trace)
+    assert all(r.inner_residual <= P.options.inner_tol for r in krylov.trace[1:])
+    assert all(np.isnan(r.inner_residual) for r in dense.trace)
     assert krylov.sigma_min <= 1e-10 * krylov.sigma_max and krylov.sigma_error == ""
 
 
 def test_krylov_newton_step_meets_inner_tol(monkeypatch):
-    # the true relative residual of the inexact Newton step, measured
-    # against the assembled H_beta, is within the forcing term
+    # the true relative residual of every inexact Newton step, measured
+    # against the assembled H_beta, is within the forcing term, also for
+    # the later steps of one state, which recycle the earlier steps' Krylov
+    # directions for a changed H_beta
     A = sparse_instance(80, 40)
     rng = np.random.default_rng(41)
     monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 100)
@@ -357,10 +361,52 @@ def test_krylov_newton_step_meets_inner_tol(monkeypatch):
         start = starting_values(P, 1)[0]
         for scale in (0.0, 0.1):
             state = SolverState.at(P, start.u0 + scale * rng.standard_normal(80), start.v0)
-            du, dv, _ = newton_step(P, state)
-            H = assemble_H_beta(P, state.u, state.v)
-            true = np.linalg.norm(H @ np.concatenate([du, dv]) + state.residual)
-            assert true <= inner_tol * state.residual_norm
+            for step in range(4):
+                assert bool(state.recycle) == (step > 0)
+                du, dv, inner = newton_step(P, state)
+                H = assemble_H_beta(P, state.u, state.v)
+                true = np.linalg.norm(H @ np.concatenate([du, dv]) + state.residual)
+                assert true <= inner_tol * state.residual_norm
+                assert abs(true / state.residual_norm - inner.residual) <= 1e-10
+                # backtrack to descent and accept, keeping the recycle list
+                alpha = 1.0
+                nxt = SolverState.at(P, state.u + du, state.v + dv)
+                while nxt.residual_norm >= state.residual_norm:
+                    alpha *= 0.5
+                    nxt = SolverState.at(P, state.u + alpha * du, state.v + alpha * dv)
+                nxt.recycle, state = state.recycle, nxt
+
+
+def test_krylov_multistart_starts_are_independent(monkeypatch):
+    # each start recycles Krylov directions only across its own steps: its
+    # summary under multistart equals that of running the start alone
+    A = sparse_instance(80, 40)
+    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 100)
+    P = ProblemInstance(A, options=SolverOptions(multistart=3))
+    assert not P.use_dense_newton
+    res = solve(P)
+    starts = starting_values(P, 3)
+    assert len(res.starts) == 3 and not any(s.skipped for s in starts)
+    assert all(s.inner_iterations > 0 for s in res.starts)
+    for start, summary in zip(starts, res.starts):
+        alone = line_search_newton(P, start.u0, start.v0, start.index)
+        fields = ("converged", "distance", "grad_norm", "iterations", "backtracks",
+                  "inner_iterations")
+        assert [getattr(summary, f) for f in fields] == [getattr(alone, f) for f in fields]
+
+
+def test_krylov_path_converges_on_hard_small_input(monkeypatch):
+    # a small sparse input whose Newton run crawls for about 80 iterations:
+    # the Krylov path must reach the dense path's distance within the budget
+    A = sp.csr_array(sp.random(50, 50, density=0.1, random_state=1)
+                     + sp.diags(0.5 + np.random.default_rng(1).random(50)))
+    dense = solve(ProblemInstance(A))
+    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 0)
+    P = ProblemInstance(A)
+    assert not P.use_dense_newton and P.factor is not None
+    krylov = solve(P)
+    assert dense.converged and krylov.converged
+    assert abs(krylov.distance - dense.distance) <= 1e-9 * dense.distance
 
 
 def test_singular_sparse_input_above_threshold_short_circuits(monkeypatch):
@@ -379,17 +425,19 @@ def test_singular_sparse_input_above_threshold_short_circuits(monkeypatch):
 def test_rectangular_sparse_input_routing(monkeypatch):
     # no LU for a rectangular A: up to the dense-fallback cap the Newton
     # step stays on the dense path; above it, it runs unpreconditioned
-    # through the same GMRES entry point, restarting (order 150 > 50)
+    # through the same GCROT entry point, over more than one inner cycle
+    # (order 150 > the length of the first cycle)
     A = sp.csr_array(sp.random(60, 90, density=0.3, random_state=np.random.RandomState(44)))
     dense = solve(ProblemInstance(A))
     monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 20)
     P = ProblemInstance(A)
     assert P.factor is None and P.use_dense_newton
     monkeypatch.setattr(linalg, "DENSE_FALLBACK_MAX_N", 100)
-    assert P.m + P.n > linalg.GMRES_RESTART and not P.use_dense_newton
+    first_cycle = linalg.GCROT_CYCLE + linalg.GCROT_RECYCLE
+    assert P.m + P.n > first_cycle and not P.use_dense_newton
     krylov = solve(P)
     assert dense.converged and krylov.converged
-    assert max(r.inner_iterations for r in krylov.trace) > linalg.GMRES_RESTART
+    assert max(r.inner_iterations for r in krylov.trace) > first_cycle
     assert abs(krylov.distance - dense.distance) <= 1e-10 * dense.distance
 
 

@@ -208,6 +208,13 @@ def test_basis_rejects_non_orthonormal():
         BasisStructure([E[0], E[1], E[2], E[2]])
 
 
+def test_basis_rejects_non_matrix_elements():
+    with pytest.raises(StructureError, match=r"basis matrix 0 must be 2-d, got shape \(3,\)"):
+        BasisStructure([np.ones(3)])
+    with pytest.raises(StructureError, match=r"basis matrix 1 must be 2-d, got shape \(1, 1, 1\)"):
+        BasisStructure([np.ones((1, 1)), np.ones((1, 1, 1))])
+
+
 def test_complex_input_rejected():
     with pytest.raises(StructureError):
         FullStructure(2, 2).project_rank1(np.array([1j, 0]), np.array([1.0, 0]))

@@ -202,11 +202,11 @@ def cmd_gcd(args) -> int:
     else:
         pair = mmio.read_polynomial_pair(args.poly)
         source = args.poly
-    opts = default_gcd_options()
-    opts.multistart = args.multistart
-    opts.seed = args.seed
+    fields = {"multistart": args.multistart, "seed": args.seed}
     if args.max_iters is not None:
-        opts.max_newton_iters = args.max_iters
+        fields["max_newton_iters"] = args.max_iters
+    # replace() reruns SolverOptions validation on the command-line values
+    opts = dataclasses.replace(default_gcd_options(), **fields)
     input_desc = {"poly": source, "deg_p": pair.deg_p, "deg_q": pair.deg_q}
     degrees = _parse_sweep(args.sweep) if args.sweep else [args.d]
     rows = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import AllStartsFailed, ExtractionError, InputError
@@ -112,14 +113,6 @@ class SylvesterInstance:
     scale_q: float
 
 
-def _conv_block(coeffs, n_cols):
-    deg = coeffs.size - 1
-    T = np.zeros((deg + n_cols, n_cols))
-    for j in range(n_cols):
-        T[j : j + coeffs.size, j] = coeffs
-    return T
-
-
 def build_sylvester(pair: PolynomialPair, d: int) -> SylvesterInstance:
     """Assemble the scaled Sylvester matrix and perturbation basis for degree d."""
     mdeg, ndeg = pair.deg_p, pair.deg_q
@@ -131,8 +124,8 @@ def build_sylvester(pair: PolynomialPair, d: int) -> SylvesterInstance:
     scale_p = 1.0 / np.sqrt(cols_p)
     scale_q = 1.0 / np.sqrt(cols_q)
     A = np.hstack([
-        _conv_block(pair.p_coeffs, cols_p) * scale_p,
-        _conv_block(pair.q_coeffs, cols_q) * scale_q,
+        scipy.linalg.convolution_matrix(pair.p_coeffs, cols_p) * scale_p,
+        scipy.linalg.convolution_matrix(pair.q_coeffs, cols_q) * scale_q,
     ])
     assert A.shape == (rows, cols_p + cols_q)
     mats = []
@@ -253,7 +246,8 @@ def extract_cofactors(instance: SylvesterInstance, gcd_result: GcdResult) -> Cof
     u_cof = u_raw * scale
     w_cof = w_raw * scale
     d = instance.d
-    C = np.vstack([_conv_block(u_cof, d + 1), _conv_block(w_cof, d + 1)])
+    C = np.vstack([scipy.linalg.convolution_matrix(u_cof, d + 1),
+                   scipy.linalg.convolution_matrix(w_cof, d + 1)])
     rhs = np.concatenate([gcd_result.p_perturbed, gcd_result.q_perturbed])
     g, *_ = np.linalg.lstsq(C, rhs, rcond=None)
     residual = float(np.linalg.norm(C @ g - rhs))

@@ -58,10 +58,11 @@ class OracleEval:
 def evaluate(P: ProblemInstance, v, eps: float) -> OracleEval:
     """Evaluate f_eps, the optimal structured Delta, and the gradient at v.
 
-    Requires ||v|| = 1 (tolerance 1e-10) and eps > 0. Sparsity patterns and
-    the full structure have diagonal M M^T and are solved entrywise; a
-    general basis assembles M densely and solves the regularized m x m Gram
-    system (basis structures are small by construction).
+    Requires ||v|| = 1 (tolerance 1e-10) and eps > 0. Structures with
+    ``diagonal_gram`` (every sparsity pattern, the full one included) have
+    diagonal M M^T and are solved entrywise; a general basis assembles M
+    densely and solves the regularized m x m Gram system (basis structures
+    are small by construction).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -72,11 +73,11 @@ def evaluate(P: ProblemInstance, v, eps: float) -> OracleEval:
         raise StructureError("v must have unit norm")
     S = P.structure
     r = -P.matvec(v)
-    try:
+    if S.diagonal_gram:
         k1, _ = S.gram_diagonals(np.zeros(P.m), v)
         u = r / (k1 + eps)
         min_gram = float(k1.min())
-    except StructureError:
+    else:
         Mm = S.m_matrix(v)
         G = Mm @ Mm.T
         min_gram = float(np.diag(G).min())

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .errors import AllStartsFailed, DimensionMismatchError, SingdistError, StructureError
+from .errors import AllStartsFailed, DimensionMismatchError, SingdistError
 from .structure import LinearStructure, SparsityPattern, as_dense
 
 __all__ = [
@@ -236,11 +236,11 @@ def assemble_H_beta(P: ProblemInstance, u, v, beta: float | None = None):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     H = np.zeros((m + n, m + n))
-    try:
+    if S.diagonal_gram:
         k1, k2 = S.gram_diagonals(u, v)
         H[np.arange(m), np.arange(m)] = k1
         H[np.arange(m, m + n), np.arange(m, m + n)] = k2
-    except StructureError:
+    else:
         Mm = S.m_matrix(v)
         Nm = S.n_matrix(u)
         H[:m, :m] = Mm @ Mm.T

@@ -1,11 +1,12 @@
 """Linear matrix structures and their projection and rank-1 operators.
 
-A structure S is a linear subspace of m x n real matrices. Three kinds are
-supported: the unconstrained space (``FullStructure``), a sparsity pattern
-(``SparsityPattern``), and a general orthonormal basis (``BasisStructure``).
-Every structure owns the orthogonal projection ``project``, the projected
-rank-1 map ``project_rank1(u, v) = project(u v^T)``, and matrix-free
-applications of the operators
+A structure S is a linear subspace of m x n real matrices. Two kinds are
+implemented: a sparsity pattern (``SparsityPattern``) and a general
+orthonormal basis (``BasisStructure``). The unconstrained space
+(``FullStructure``) is the pattern of every entry. Every structure owns the
+orthogonal projection ``project``, the projected rank-1 map
+``project_rank1(u, v) = project(u v^T)``, and matrix-free applications of
+the operators
 
     M(v): R^p -> R^m,  columns B_i v   (B_1 .. B_p the orthonormal basis)
     N(u): R^p -> R^n,  columns B_i^T u
@@ -13,7 +14,8 @@ applications of the operators
 which appear throughout the residual and curvature formulas of the solver.
 For patterns the basis is the set of elementary matrices e_i e_j^T over the
 pattern in row-major order, M M^T and N N^T are diagonal, and all operations
-run in O(p) without forming any dense matrix.
+run in O(p) without forming any dense matrix; a general basis has dense
+Gram blocks, assembled from ``m_matrix`` and ``n_matrix``.
 """
 
 from __future__ import annotations
@@ -62,10 +64,17 @@ class LinearStructure:
     elements) and implement the operations below. All operations are
     read-only; instances are immutable after construction and safe to share
     between concurrent solves.
+
+    ``diagonal_gram`` says which of the two Gram-block kernels a structure
+    uses: True when M(v) M(v)^T and N(u) N(u)^T are diagonal for every u, v
+    (every sparsity pattern, the full one included), so ``gram_diagonals``
+    gives them; False for a general basis, whose Gram blocks are formed
+    from ``m_matrix`` and ``n_matrix``.
     """
 
     shape: tuple
     dim: int
+    diagonal_gram = False
 
     def _check_matrix(self, X, what="matrix"):
         if X.shape != self.shape:
@@ -102,11 +111,10 @@ class LinearStructure:
         raise NotImplementedError
 
     def gram_diagonals(self, u, v):
-        """Diagonals of M(v) M(v)^T and N(u) N(u)^T when they are diagonal.
+        """Diagonals of M(v) M(v)^T and N(u) N(u)^T.
 
-        Only pattern-like structures (patterns and the full space) have
-        diagonal Gram matrices; a general basis raises ``StructureError`` and
-        the caller must fall back to explicit Gram products.
+        Defined only where ``diagonal_gram`` is True; any other structure
+        raises ``StructureError``.
         """
         raise StructureError(
             f"{type(self).__name__} has no diagonal Gram matrices"
@@ -118,95 +126,11 @@ class LinearStructure:
 
     def m_matrix(self, v):
         """Dense m x p assembly of M(v); intended for small problems and tests."""
-        m, _ = self.shape
-        p = self.dim
-        out = np.empty((m, p))
-        e = np.zeros(p)
-        for i in range(p):
-            e[i] = 1.0
-            out[:, i] = self.apply_m(v, e)
-            e[i] = 0.0
-        return out
+        raise NotImplementedError
 
     def n_matrix(self, u):
         """Dense n x p assembly of N(u); intended for small problems and tests."""
-        _, n = self.shape
-        p = self.dim
-        out = np.empty((n, p))
-        e = np.zeros(p)
-        for i in range(p):
-            e[i] = 1.0
-            out[:, i] = self.apply_n(u, e)
-            e[i] = 0.0
-        return out
-
-
-class FullStructure(LinearStructure):
-    """The unconstrained structure: every m x n real matrix belongs to it.
-
-    The projection is the identity, the basis is all elementary matrices in
-    row-major order, and ``M(v) vec(X) = X v``, ``N(u) vec(X) = X^T u``.
-    """
-
-    def __init__(self, n_rows, n_cols=None):
-        if n_cols is None:
-            if isinstance(n_rows, tuple):  # FullStructure(A.shape)
-                n_rows, n_cols = n_rows
-            else:
-                n_cols = n_rows
-        if n_rows <= 0 or n_cols <= 0:
-            raise StructureError("dimensions must be positive")
-        self.shape = (int(n_rows), int(n_cols))
-        self.dim = self.shape[0] * self.shape[1]
-
-    def __repr__(self):
-        return f"FullStructure({self.shape[0]}, {self.shape[1]})"
-
-    def project(self, X):
-        dense = not sp.issparse(X)
-        X = np.asarray(X) if dense else X
-        _check_real(X.data if sp.issparse(X) else X, "matrix")
-        self._check_matrix(X)
-        if dense:
-            return np.array(X, dtype=float, copy=True)
-        return sp.csr_array(X, dtype=float)
-
-    def project_rank1(self, u, v):
-        u, v = self._uv(u, v)
-        return np.outer(u, v)
-
-    def apply_m(self, v, x):
-        m, n = self.shape
-        v = _as_vector(v, n, "v")
-        x = _as_vector(x, self.dim, "x")
-        return x.reshape(m, n) @ v
-
-    def apply_mt(self, v, y):
-        m, n = self.shape
-        v = _as_vector(v, n, "v")
-        y = _as_vector(y, m, "y")
-        return np.outer(y, v).ravel()
-
-    def apply_n(self, u, x):
-        m, n = self.shape
-        u = _as_vector(u, m, "u")
-        x = _as_vector(x, self.dim, "x")
-        return x.reshape(m, n).T @ u
-
-    def apply_nt(self, u, y):
-        m, n = self.shape
-        u = _as_vector(u, m, "u")
-        y = _as_vector(y, n, "y")
-        return np.outer(u, y).ravel()
-
-    def gram_diagonals(self, u, v):
-        u, v = self._uv(u, v)
-        m, n = self.shape
-        return (v @ v) * np.ones(m), (u @ u) * np.ones(n)
-
-    def h_offdiag(self, u, v):
-        # M N^T equals u v^T here, so the block is twice the projection.
-        return 2.0 * self.project_rank1(u, v)
+        raise NotImplementedError
 
 
 class SparsityPattern(LinearStructure):
@@ -217,6 +141,8 @@ class SparsityPattern(LinearStructure):
     k-th pattern entry (i, j). Duplicate or out-of-bounds entries are
     rejected.
     """
+
+    diagonal_gram = True
 
     def __init__(self, n_rows, n_cols, entries):
         if n_rows <= 0 or n_cols <= 0:
@@ -247,17 +173,17 @@ class SparsityPattern(LinearStructure):
             shape=self.shape,
         )
 
-    @classmethod
-    def from_matrix(cls, A):
-        """Pattern of the nonzero entries of ``A``."""
+    @staticmethod
+    def from_matrix(A):
+        """Pattern of the nonzero entries of ``A`` (a ``SparsityPattern``)."""
         if sp.issparse(A):
             coo = sp.coo_array(A)
             keep = coo.data != 0
             entries = np.column_stack([coo.row[keep], coo.col[keep]])
-            return cls(A.shape[0], A.shape[1], entries)
+            return SparsityPattern(A.shape[0], A.shape[1], entries)
         A = np.asarray(A)
         rows, cols = np.nonzero(A)
-        return cls(A.shape[0], A.shape[1], np.column_stack([rows, cols]))
+        return SparsityPattern(A.shape[0], A.shape[1], np.column_stack([rows, cols]))
 
     def __repr__(self):
         return f"SparsityPattern({self.shape[0]}x{self.shape[1]}, {self.dim} entries)"
@@ -328,6 +254,45 @@ class SparsityPattern(LinearStructure):
         # M N^T coincides with the projected rank-1 matrix on a pattern.
         u, v = self._uv(u, v)
         return self._coef(2.0 * u[self.rows] * v[self.cols])
+
+    def m_matrix(self, v):
+        v = _as_vector(v, self.shape[1], "v")
+        out = np.zeros((self.shape[0], self.dim))
+        out[self.rows, np.arange(self.dim)] = v[self.cols]
+        return out
+
+    def n_matrix(self, u):
+        u = _as_vector(u, self.shape[0], "u")
+        out = np.zeros((self.shape[1], self.dim))
+        out[self.cols, np.arange(self.dim)] = u[self.rows]
+        return out
+
+
+class FullStructure(SparsityPattern):
+    """The unconstrained structure: the sparsity pattern of every entry.
+
+    The basis is every elementary matrix in row-major order, so
+    ``M(v) vec(X) = X v`` and ``N(u) vec(X) = X^T u``, and the pattern
+    operators apply unchanged. The pattern arrays take O(m n) memory and
+    set-up time. ``project_rank1`` returns the dense outer product u v^T.
+    """
+
+    def __init__(self, n_rows, n_cols=None):
+        if n_cols is None:
+            if isinstance(n_rows, tuple):  # FullStructure(A.shape)
+                n_rows, n_cols = n_rows
+            else:
+                n_cols = n_rows
+        if n_rows <= 0 or n_cols <= 0:
+            raise StructureError("dimensions must be positive")
+        super().__init__(n_rows, n_cols, np.indices((n_rows, n_cols)).reshape(2, -1).T)
+
+    def __repr__(self):
+        return f"FullStructure({self.shape[0]}, {self.shape[1]})"
+
+    def project_rank1(self, u, v):
+        u, v = self._uv(u, v)
+        return np.outer(u, v)
 
 
 class BasisStructure(LinearStructure):

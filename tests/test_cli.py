@@ -61,6 +61,8 @@ def test_solve_writes_delta(tmp_path):
     from singdist.structure import as_dense
 
     assert np.allclose(as_dense(D), np.diag([0.0, -1.0]), atol=1e-10)
+    # a full-structure Delta is dense, so it is written in array format
+    assert delta_path.read_text().startswith("%%MatrixMarket matrix array")
 
 
 def test_solve_reports_certificate_failure(tmp_path, capsys, monkeypatch):
@@ -185,6 +187,17 @@ def test_gcd_identical_pair_from_file(tmp_path):
 
 def test_gcd_bad_degree():
     assert run(["gcd", "--builtin", "clustered", "--d", 99]) == 1
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--max-iters", "iteration budgets must be positive"),
+    ("--multistart", "multistart must be at least 1"),
+])
+def test_gcd_rejects_invalid_solver_options(capsys, flag, message):
+    assert run(["gcd", "--builtin", "clustered", "--d", 9, flag, 0]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    assert "distance" not in out  # rejected before the table starts
 
 
 def test_certify_pipeline_and_negative_controls(tmp_path):

@@ -55,6 +55,20 @@ def test_sylvester_shape_and_scaling():
     assert inst.structure.dim == 22
 
 
+def test_sylvester_blocks_are_convolution_matrices():
+    # column j of a block holds the coefficients shifted down by j rows
+    pair = make_test_polynomials()
+    for d in (10, 8, 4):  # 1, 3 and 7 columns per block
+        inst = build_sylvester(pair, d)
+        k = inst.col_split
+        for coeffs, block, scale in ((pair.p_coeffs, inst.matrix[:, :k], inst.scale_p),
+                                     (pair.q_coeffs, inst.matrix[:, k:], inst.scale_q)):
+            T = np.zeros((coeffs.size + k - 1, k))
+            for j in range(k):
+                T[j : j + coeffs.size, j] = coeffs
+            assert np.array_equal(block, T * scale)
+
+
 def test_sylvester_degree_range():
     pair = make_test_polynomials()
     with pytest.raises(InputError):

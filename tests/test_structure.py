@@ -163,6 +163,30 @@ def test_rank1_gram_identities():
         assert np.allclose(D.T @ u, S.apply_n(u, S.apply_nt(u, v)), atol=1e-12)
 
 
+def _assert_same_operators(S, T, rng):
+    """S and T act alike on random inputs; T may be a general basis."""
+    m, n = S.shape
+    X = rng.standard_normal((m, n))
+    u = rng.standard_normal(m)
+    v = rng.standard_normal(n)
+    x = rng.standard_normal(S.dim)
+    assert np.allclose(as_dense(S.project(X)), as_dense(T.project(X)), atol=1e-13)
+    assert np.allclose(as_dense(S.project_rank1(u, v)),
+                       as_dense(T.project_rank1(u, v)), atol=1e-13)
+    assert np.allclose(S.apply_m(v, x), T.apply_m(v, x), atol=1e-13)
+    assert np.allclose(S.apply_mt(v, u), T.apply_mt(v, u), atol=1e-13)
+    assert np.allclose(S.apply_n(u, x), T.apply_n(u, x), atol=1e-13)
+    assert np.allclose(S.apply_nt(u, v), T.apply_nt(u, v), atol=1e-13)
+    k1, k2 = S.gram_diagonals(u, v)
+    if T.diagonal_gram:
+        t1, t2 = T.gram_diagonals(u, v)
+    else:
+        t1 = np.diag(T.m_matrix(v) @ T.m_matrix(v).T)
+        t2 = np.diag(T.n_matrix(u) @ T.n_matrix(u).T)
+    assert np.allclose(k1, t1, atol=1e-13) and np.allclose(k2, t2, atol=1e-13)
+    assert np.allclose(as_dense(S.h_offdiag(u, v)), as_dense(T.h_offdiag(u, v)), atol=1e-13)
+
+
 def test_pattern_equals_elementary_basis_expansion():
     rng = np.random.default_rng(9)
     for trial in range(6):
@@ -171,17 +195,29 @@ def test_pattern_equals_elementary_basis_expansion():
         Sb = Sp.to_basis()
         assert isinstance(Sb, BasisStructure)
         assert Sb.dim == Sp.dim
-        X = rng.standard_normal((m, n))
-        u = rng.standard_normal(m)
-        v = rng.standard_normal(n)
-        x = rng.standard_normal(Sp.dim)
-        assert np.allclose(as_dense(Sp.project(X)), as_dense(Sb.project(X)), atol=1e-13)
-        assert np.allclose(as_dense(Sp.project_rank1(u, v)),
-                           as_dense(Sb.project_rank1(u, v)), atol=1e-13)
-        assert np.allclose(Sp.apply_m(v, x), Sb.apply_m(v, x), atol=1e-13)
-        assert np.allclose(Sp.apply_mt(v, u), Sb.apply_mt(v, u), atol=1e-13)
-        assert np.allclose(Sp.apply_n(u, x), Sb.apply_n(u, x), atol=1e-13)
-        assert np.allclose(Sp.apply_nt(u, v), Sb.apply_nt(u, v), atol=1e-13)
+        _assert_same_operators(Sp, Sb, rng)
+    # the full structure is the pattern of every entry
+    Sf = FullStructure(4, 3)
+    Sa = SparsityPattern(4, 3, [(i, j) for i in range(4) for j in range(3)])
+    Sb = Sa.to_basis()
+    assert Sf.dim == Sa.dim == Sb.dim == 12
+    assert type(FullStructure.from_matrix(np.eye(4, 3))) is SparsityPattern  # inherited
+    for S, T in ((Sf, Sa), (Sa, Sb), (Sf, Sb)):
+        _assert_same_operators(S, T, rng)
+
+
+def test_diagonal_gram_says_whether_gram_blocks_are_diagonal():
+    rng = np.random.default_rng(11)
+    Sp, _ = random_pattern(rng, 5, 4)
+    cases = ((Sp, True), (FullStructure(5, 4), True),
+             (random_orthonormal_basis(rng, 5, 4, 6), False))
+    for S, diagonal in cases:
+        assert S.diagonal_gram is diagonal
+        u = rng.standard_normal(5)
+        v = rng.standard_normal(4)
+        for G in (S.m_matrix(v) @ S.m_matrix(v).T, S.n_matrix(u) @ S.n_matrix(u).T):
+            off = np.abs(G - np.diag(np.diag(G))).max()
+            assert off == 0.0 if diagonal else off > 1e-3
 
 
 def test_pattern_canonical_order_and_duplicates():

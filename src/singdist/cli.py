@@ -96,8 +96,6 @@ def _solver_options(args) -> SolverOptions:
         max_newton_iters=args.max_iters,
         multistart=args.multistart,
         multistart_mode=args.multistart_mode,
-        inner_tol=args.inner_tol,
-        seed=args.seed,
     )
 
 
@@ -202,7 +200,7 @@ def cmd_gcd(args) -> int:
     else:
         pair = mmio.read_polynomial_pair(args.poly)
         source = args.poly
-    fields = {"multistart": args.multistart, "seed": args.seed}
+    fields = {"multistart": args.multistart}
     if args.max_iters is not None:
         fields["max_newton_iters"] = args.max_iters
     # replace() reruns SolverOptions validation on the command-line values
@@ -319,11 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--multistart-mode", choices=("full", "cheap"), default="full")
     ps.add_argument("--grad-tol", type=float, default=None,
                     help="residual tolerance (default 1e-12 ||A||_F)")
-    ps.add_argument("--inner-tol", type=float, default=1e-2,
-                    help="true relative residual every inner Krylov (GCROT) solve of the "
-                         "Krylov path must reach")
     ps.add_argument("--max-iters", type=int, default=100, help="Newton iteration budget")
-    ps.add_argument("--seed", type=int, default=0, help="seed for randomized kernels")
     ps.add_argument("--out", metavar="FILE", help="write the JSON report here")
     ps.add_argument("--write-delta", metavar="FILE", help="write Delta in Matrix Market format")
     ps.set_defaults(func=cmd_solve)
@@ -338,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     deg.add_argument("--sweep", metavar="D1:D2", help="run a range of degrees")
     pg.add_argument("--multistart", type=int, default=1, metavar="K")
     pg.add_argument("--max-iters", type=int, default=None, help="Newton iteration budget")
-    pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--cofactors", action="store_true",
                     help="also extract g, u, w with p ~ g u and q ~ g w")
     pg.add_argument("--out", metavar="FILE", help="write the JSON report here")

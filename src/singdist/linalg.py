@@ -169,7 +169,7 @@ def _dense_triplets(A, k):
     return out, float(s[0])
 
 
-def _sparse_triplets(A, k, seed, factor):
+def _sparse_triplets(A, k, factor):
     """Shift-and-invert Lanczos at zero on the augmented matrix, inverted by ``factor``."""
     m, n = A.shape
     A_T = A.T.tocsr()
@@ -177,8 +177,7 @@ def _sparse_triplets(A, k, seed, factor):
         (m + n, m + n), dtype=float,
         matvec=lambda x: np.concatenate([A @ x[m:], A_T @ x[:m]]),
     )
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(m + n)
+    v0 = np.random.default_rng(0).standard_normal(m + n)
     k_eig = min(2 * k + 2, m + n - 1)
     w, W = spla.eigsh(aug, k=k_eig, sigma=0.0, which="LM", v0=v0, OPinv=factor.aug_inverse())
     pos = np.where(w > 0)[0]
@@ -201,16 +200,17 @@ def _sparse_triplets(A, k, seed, factor):
     return out
 
 
-def spectral_norm(A, seed=0):
-    """Largest singular value of a sparse ``A`` by Lanczos (``svds``); needs min(m, n) >= 2."""
-    rng = np.random.default_rng(seed)
-    s = spla.svds(
-        A, k=1, which="LM", v0=rng.standard_normal(min(A.shape)), return_singular_vectors=False
-    )
+def spectral_norm(A):
+    """Largest singular value of a sparse ``A`` by Lanczos (``svds``); needs min(m, n) >= 2.
+
+    The start vector is drawn from seed 0, so the result is repeatable.
+    """
+    v0 = np.random.default_rng(0).standard_normal(min(A.shape))
+    s = spla.svds(A, k=1, which="LM", v0=v0, return_singular_vectors=False)
     return float(s[0])
 
 
-def smallest_singular_triplets(A, k=1, seed=0, *, factor=None):
+def smallest_singular_triplets(A, k=1, *, factor=None):
     """The ``k`` smallest singular triplets of ``A``, ascending in sigma, and sigma_max(A).
 
     Returns ``(trips, sigma_max)``: a list of (sigma, u, v) with unit-norm
@@ -218,9 +218,10 @@ def smallest_singular_triplets(A, k=1, seed=0, *, factor=None):
     relative residual of 1e-10, and the largest singular value of ``A``,
     which every route computes for that check. Dense, rectangular or small
     input (m + n at most ``DENSE_THRESHOLD``) uses a full SVD. Large sparse
-    square input uses shift-and-invert Lanczos through ``factor``, an
-    ``LUFactor`` of A that is built here when not given. If A cannot be factored or Lanczos fails, the
-    dense SVD takes over up to order ``DENSE_FALLBACK_MAX_N``; beyond it
+    square input uses shift-and-invert Lanczos from a fixed start vector
+    (seed 0) through ``factor``, an ``LUFactor`` of A that is built here
+    when not given. If A cannot be factored or Lanczos fails, the dense SVD
+    takes over up to order ``DENSE_FALLBACK_MAX_N``; beyond it
     ``TripletError`` is raised. A triplet residual above the bound raises
     ``TripletError`` with the achieved residual.
     """
@@ -236,8 +237,8 @@ def smallest_singular_triplets(A, k=1, seed=0, *, factor=None):
                 factor = factorize(A)
             if factor is None:
                 raise TripletError("A is exactly singular; no LU for shift-and-invert")
-            trips = _sparse_triplets(A, k, seed, factor)
-            norm_a = spectral_norm(A, seed=seed)
+            trips = _sparse_triplets(A, k, factor)
+            norm_a = spectral_norm(A)
         except (TripletError, RuntimeError, np.linalg.LinAlgError) as exc:
             # singular factorization, Lanczos breakdown or no convergence
             if n > DENSE_FALLBACK_MAX_N:
@@ -281,12 +282,10 @@ def solve_dense(M, b):
     if b.shape[0] != M.shape[0]:
         raise DimensionMismatchError("right-hand side length mismatch")
     anorm = np.linalg.norm(M, 1)
-    if anorm == 0:
-        x, *_ = np.linalg.lstsq(M, b, rcond=RCOND_CUTOFF)
-        return DenseSolve(x=x, rcond=0.0, used_least_squares=True)
     with warnings.catch_warnings():
         # LAPACK's exact-singularity warning: dgecon then reports rcond 0
-        # and the least-squares branch below takes over
+        # (also for the zero matrix, where anorm is 0) and the least-squares
+        # branch below takes over
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
     rcond, _info = scipy.linalg.lapack.dgecon(lu, anorm)

@@ -64,17 +64,20 @@ START_PROJECTION_TOL = 1e-14
 #: step halvings tried per Newton iteration before the run stops without descent
 MAX_BACKTRACKS = 40
 
+#: forcing term of the Krylov path: the true relative residual every inner
+#: GCROT solve reaches; tighter values cost time, not accuracy
+INNER_TOL = 1e-2
+
 
 @dataclasses.dataclass
 class SolverOptions:
     """Tuning knobs for the Newton solve.
 
     ``beta`` and ``grad_tol`` default to ``None``, meaning ||A||_F and
-    1e-12 ||A||_F respectively, resolved per instance. ``inner_tol`` is the
-    forcing term of the Krylov path: every inner Krylov solve must reach a
-    true relative residual of at most ``inner_tol``. Which path a solve
+    1e-12 ||A||_F respectively, resolved per instance. Which path a solve
     takes is decided by size, not by an option: see
     ``ProblemInstance.use_dense_newton`` and ``linalg.DENSE_THRESHOLD``.
+    The Krylov forcing term is the constant ``INNER_TOL``.
     """
 
     beta: float | None = None
@@ -82,8 +85,6 @@ class SolverOptions:
     max_newton_iters: int = 100
     multistart: int = 1
     multistart_mode: str = "full"  # "full" runs every start, "cheap" only argmin sigma_hat
-    inner_tol: float = 1e-2
-    seed: int = 0
 
     def __post_init__(self):
         if self.beta is not None and self.beta <= 0:
@@ -96,8 +97,6 @@ class SolverOptions:
             raise ValueError("multistart must be at least 1")
         if self.multistart_mode not in ("full", "cheap"):
             raise ValueError("multistart_mode must be 'full' or 'cheap'")
-        if not 0 < self.inner_tol < 1:
-            raise ValueError("inner_tol must lie in (0, 1)")
 
 
 class ProblemInstance:
@@ -164,8 +163,7 @@ class ProblemInstance:
 
     def singular_triplets(self, k):
         """The k smallest singular triplets of A and sigma_max(A), routed by the instance."""
-        return linalg.smallest_singular_triplets(
-            self.A, k, seed=self.options.seed, factor=self.factor)
+        return linalg.smallest_singular_triplets(self.A, k, factor=self.factor)
 
     def dense_A(self):
         if self._A_dense is None:
@@ -286,7 +284,7 @@ def newton_step(P: ProblemInstance, state: SolverState, beta: float | None = Non
     Problems on the dense path (``P.use_dense_newton``) assemble H_beta and
     use the direct solver with its minimum-norm fallback (``inner`` is
     None). The others apply H_beta matrix-free through GCROT(m, k) to a
-    true relative residual of at most ``inner_tol``, right-preconditioned by
+    true relative residual of at most ``INNER_TOL``, right-preconditioned by
     the inverse of [[0, A], [A^T, 0]] from the instance's LU of A (H_beta's
     leading part while u and Delta are small) and recycling the Krylov
     directions of the earlier steps on ``state.recycle``; an A without LU
@@ -305,7 +303,7 @@ def newton_step(P: ProblemInstance, state: SolverState, beta: float | None = Non
     u, v = state.u, state.v
     factor = P.factor
     it = linalg.solve_symmetric_iterative(
-        lambda x: apply_H_beta(P, u, v, *_split(P, x), beta), rhs, tol=P.options.inner_tol,
+        lambda x: apply_H_beta(P, u, v, *_split(P, x), beta), rhs, tol=INNER_TOL,
         precond=factor.aug_inverse() if factor is not None else None, recycle=state.recycle,
     )
     du, dv = _split(P, it.x)
@@ -317,7 +315,7 @@ class IterationRecord:
     """Per accepted iteration: residual after the step and step diagnostics.
 
     ``inner_residual`` is the true relative residual the Krylov solve of the
-    step achieved (requested: ``inner_tol``); NaN on the dense path and at
+    step achieved (requested: ``INNER_TOL``); NaN on the dense path and at
     iteration 0.
     """
 
@@ -521,7 +519,7 @@ def _certificate_sigmas(P: ProblemInstance, delta):
         if not sp.issparse(B) or P.m + P.n <= linalg.DENSE_THRESHOLD or P.m != P.n:
             s = np.linalg.svd(as_dense(B), compute_uv=False)
             return float(s[-1]), float(s[0]), ""
-        trips, smax = linalg.smallest_singular_triplets(B, 1, seed=P.options.seed)
+        trips, smax = linalg.smallest_singular_triplets(B, 1)
         return float(trips[0][0]), float(smax), ""
     except (SingdistError, RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
         return None, None, f"sigma(A+Delta) not computed: {type(exc).__name__}"

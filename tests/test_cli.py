@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from singdist import BasisStructure
 from singdist.gcd import make_test_polynomials
-from singdist.mmio import write_matrix, write_polynomial_pair, write_vector
+from singdist.mmio import write_basis, write_matrix, write_polynomial_pair, write_vector
 from singdist.cli import main, render_report
 
 
@@ -47,6 +48,19 @@ def test_solve_default_pattern_structure(tmp_path):
     assert run(["solve", mat, "--out", out]) == 0
     rep = load_report(out)
     assert rep["input"]["structure"] == "pattern(A)"
+    assert rep["input"]["structure_dim"] == 2
+    assert abs(rep["distance"] - 1.0) <= 1e-10
+
+
+def test_solve_basis_structure_from_directory(tmp_path):
+    # the diagonal basis of diag(3, 1) gives the same distance as its pattern
+    mat = write_diag(tmp_path)
+    basis_dir = tmp_path / "basis"
+    write_basis(basis_dir, BasisStructure([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
+    out = tmp_path / "report.json"
+    assert run(["solve", mat, "--basis", basis_dir, "--out", out]) == 0
+    rep = load_report(out)
+    assert rep["input"]["structure"] == f"basis:{basis_dir}"
     assert rep["input"]["structure_dim"] == 2
     assert abs(rep["distance"] - 1.0) <= 1e-10
 
@@ -164,9 +178,14 @@ def test_gcd_builtin_single_degree(tmp_path):
 
 def test_gcd_sweep_table(tmp_path, capsys):
     out = tmp_path / "gcd.json"
-    assert run(["gcd", "--builtin", "clustered", "--sweep", "8:9", "--out", out]) == 0
+    assert run(["gcd", "--builtin", "clustered", "--sweep", "8:9", "--cofactors",
+                "--out", out]) == 0
     rep = load_report(out)
     assert [row["d"] for row in rep["results"]] == [9, 8]
+    for row in rep["results"]:
+        cof = row["cofactors"]
+        assert set(cof) == {"g", "u", "w", "residual", "reliable"}
+        assert len(cof["g"]) == row["d"] + 1 and cof["reliable"] is True
     text = capsys.readouterr().out
     assert "distance" in text and "converged" in text
 

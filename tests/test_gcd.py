@@ -6,6 +6,7 @@ import pytest
 from singdist import (
     InputError,
     PolynomialPair,
+    SolverOptions,
     build_sylvester,
     extract_cofactors,
     gcd_distance,
@@ -125,6 +126,14 @@ def test_gcd_distance_d9():
     # delta coordinates reproduce the perturbed coefficients
     assert np.allclose(res.p_perturbed - res.delta_p,
                        make_test_polynomials().p_coeffs, atol=1e-15)
+
+
+def test_gcd_distance_reports_unconverged_best_effort():
+    # no start converges within one Newton step; the best one is still reported
+    res = gcd_distance(make_test_polynomials(), 7, SolverOptions(max_newton_iters=1))
+    assert not res.converged and not res.result.converged
+    assert res.result.iterations == 1
+    assert res.warning == "solver did not converge"
 
 
 def test_gcd_distance_identical_pair_unreliable():

@@ -65,7 +65,7 @@ def test_sparse_triplets_agree_with_dense(monkeypatch):
     A = sp.csr_array(A)
     s_ref = np.linalg.svd(A.toarray(), compute_uv=False)
     factor = factorize(A)
-    trips = _sparse_triplets(A, 2, 0, factor)
+    trips = _sparse_triplets(A, 2, factor)
     assert abs(trips[0][0] - s_ref[-1]) <= 1e-9 * s_ref[0]
     assert abs(trips[1][0] - s_ref[-2]) <= 1e-9 * s_ref[0]
     assert triplet_residuals(A, trips) <= 1e-10 * s_ref[0]
@@ -122,16 +122,18 @@ def test_solve_dense_random_residual():
 
 
 def test_solve_dense_minimum_norm_fallback():
-    # rank-deficient: solution must minimize residual, then norm (pinv oracle)
+    # rank-deficient: solution must minimize residual, then norm (pinv oracle);
+    # the last input is the zero matrix, whose minimum-norm solution is 0
     rng = np.random.default_rng(16)
-    for trial in range(5):
-        B = rng.standard_normal((5, 3))
-        M = B @ rng.standard_normal((3, 5))  # rank 3
-        b = rng.standard_normal(5)
+    systems = [(rng.standard_normal((5, 3)) @ rng.standard_normal((3, 5)),  # rank 3
+                rng.standard_normal(5)) for trial in range(5)]
+    systems.append((np.zeros((5, 5)), rng.standard_normal(5)))
+    for M, b in systems:
         out = solve_dense(M, b)
         assert out.used_least_squares
         x_ref = np.linalg.pinv(M) @ b
         assert np.allclose(out.x, x_ref, atol=1e-8)
+    assert out.rcond == 0.0 and not out.x.any()
 
 
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")

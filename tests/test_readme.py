@@ -1,6 +1,7 @@
 """The README's code runs, and the package exports exactly its public surface."""
 
 import ast
+import dataclasses
 import pathlib
 import re
 
@@ -21,6 +22,10 @@ PUBLIC_NAMES = {
     "PolynomialPair", "SylvesterInstance", "GcdResult", "CofactorExtraction",
     "build_sylvester", "gcd_distance", "extract_cofactors",
 }
+
+#: every settable value of ``SolverOptions``; each changes the answer or is
+#: set by a benchmark workload, so a new knob is a reviewed edit
+SOLVER_OPTION_FIELDS = ("beta", "grad_tol", "max_newton_iters", "multistart", "multistart_mode")
 
 #: modules looked up as attributes of the package (the benchmark's tracer does)
 MODULES = ("solver", "linalg", "oracle", "gcd", "mmio", "structure")
@@ -50,3 +55,8 @@ def test_public_surface():
         assert getattr(singdist, name) is not None
     for module in MODULES:
         assert getattr(singdist, module).__name__ == f"singdist.{module}"
+
+
+def test_solver_option_fields():
+    fields = tuple(f.name for f in dataclasses.fields(singdist.SolverOptions))
+    assert fields == SOLVER_OPTION_FIELDS

@@ -347,7 +347,15 @@ class StartSummary:
 
 @dataclasses.dataclass
 class SolveResult:
-    """Outcome of a Newton run (or of the best start under multi-start)."""
+    """Outcome of a Newton run (or of the best start under multi-start).
+
+    ``sigma_min`` and ``sigma_max`` of A + Delta are set by ``solve`` on its
+    converged result. Up to ``linalg.DENSE_THRESHOLD`` unknowns (and for
+    dense A) both are exact, from a full SVD. Above it, for sparse A,
+    ``sigma_min`` is the residual upper bound ||(A + Delta) v|| (or its left
+    counterpart), which certifies singularity without factoring A + Delta,
+    and ``sigma_error`` can only come from the Lanczos run for ``sigma_max``.
+    """
 
     converged: bool
     distance: float
@@ -505,22 +513,32 @@ def starting_values(P: ProblemInstance, K: int | None = None, triplets=None):
     return out
 
 
-def _certificate_sigmas(P: ProblemInstance, delta):
-    """(sigma_min, sigma_max, reason) of A + Delta; the sigmas are None when unavailable.
+def _certificate_sigmas(P: ProblemInstance, result: SolveResult):
+    """(sigma_min, sigma_max, reason) of B = A + Delta; the sigmas are None when unavailable.
 
-    ``reason`` is empty on success and otherwise a fixed string naming the
-    exception, so reports stay deterministic.
+    Dense A, or at most ``linalg.DENSE_THRESHOLD`` unknowns (m + n), or a
+    single row or column: both sigmas are exact, from a full SVD. Larger
+    sparse A is not factored again: ``sigma_min`` is the residual upper
+    bound the root (u, v) gives, computed explicitly from B as ||B v|| / ||v||
+    when m >= n and ||B^T u|| / ||u|| when m <= n (the smaller when square),
+    and ``sigma_max`` comes from one Lanczos run (``linalg.spectral_norm``),
+    the only step there that can fail. ``reason`` is empty on success and
+    otherwise a fixed string naming the exception, so reports stay
+    deterministic.
     """
     try:
-        if P.is_sparse and sp.issparse(delta):
-            B = (P.A + delta).tocsr()
-        else:
-            B = P.dense_A() + as_dense(delta)
-        if not sp.issparse(B) or P.m + P.n <= linalg.DENSE_THRESHOLD or P.m != P.n:
-            s = np.linalg.svd(as_dense(B), compute_uv=False)
+        if not P.is_sparse or P.m + P.n <= linalg.DENSE_THRESHOLD or min(P.m, P.n) < 2:
+            s = np.linalg.svd(P.dense_A() + as_dense(result.delta), compute_uv=False)
             return float(s[-1]), float(s[0]), ""
-        trips, smax = linalg.smallest_singular_triplets(B, 1)
-        return float(trips[0][0]), float(smax), ""
+        B = sp.csr_array(P.A + result.delta)
+        smax = linalg.spectral_norm(B)
+        u, v = result.u, result.v
+        bounds = []
+        if P.m >= P.n:
+            bounds.append(np.linalg.norm(B @ v) / np.linalg.norm(v))
+        if P.m <= P.n:
+            bounds.append(np.linalg.norm(B.T @ u) / np.linalg.norm(u))
+        return float(min(bounds)), smax, ""
     except (SingdistError, RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
         return None, None, f"sigma(A+Delta) not computed: {type(exc).__name__}"
 
@@ -582,6 +600,6 @@ def solve(P: ProblemInstance) -> SolveResult:
         )
     best = min(converged, key=lambda r: r.distance)
     best.starts = summaries
-    best.sigma_min, best.sigma_max, best.sigma_error = _certificate_sigmas(P, best.delta)
+    best.sigma_min, best.sigma_max, best.sigma_error = _certificate_sigmas(P, best)
     best.wall_time = time.perf_counter() - t0
     return best

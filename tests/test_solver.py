@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from singdist import (
     AllStartsFailed,
@@ -343,6 +344,15 @@ def sparse_instance(n, seed, density=0.08):
     return sp.csr_array(A + sp.diags(0.5 + np.random.default_rng(seed).random(n)))
 
 
+def assert_sigma_bound(A, res):
+    # above the dense threshold sigma_min is a residual upper bound of the
+    # exact sigma_min(A + Delta), small at a root; sigma_max is exact
+    s = np.linalg.svd(as_dense(A) + as_dense(res.delta), compute_uv=False)
+    assert res.sigma_min >= s[-1] - 1e-14 * s[0]
+    assert res.sigma_min <= 1e-10 * res.sigma_max
+    assert abs(res.sigma_max - s[0]) <= 1e-10 * s[0]
+
+
 def test_krylov_path_matches_dense_path(monkeypatch):
     A = sparse_instance(80, 40)
     dense = solve(ProblemInstance(A))
@@ -356,7 +366,8 @@ def test_krylov_path_matches_dense_path(monkeypatch):
     assert all(r.inner_converged for r in krylov.trace)
     assert all(r.inner_residual <= solver.INNER_TOL for r in krylov.trace[1:])
     assert all(np.isnan(r.inner_residual) for r in dense.trace)
-    assert krylov.sigma_min <= 1e-10 * krylov.sigma_max and krylov.sigma_error == ""
+    assert krylov.sigma_error == ""
+    assert_sigma_bound(A, krylov)
 
 
 def test_krylov_newton_step_meets_inner_tol(monkeypatch):
@@ -451,6 +462,59 @@ def test_rectangular_sparse_input_routing(monkeypatch):
     assert dense.converged and krylov.converged
     assert max(r.inner_iterations for r in krylov.trace) > first_cycle
     assert abs(krylov.distance - dense.distance) <= 1e-10 * dense.distance
+    assert krylov.sigma_error == ""
+    assert_sigma_bound(A, krylov)
+
+
+def test_sparse_solve_factors_A_once(monkeypatch):
+    # the certificate of A + Delta factors nothing: the LU of A, built for
+    # the triplets and the preconditioner, is the only one of the solve
+    built = []
+
+    class CountingLU(linalg.LUFactor):
+        def __init__(self, A):
+            built.append(A.shape)
+            super().__init__(A)
+
+    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 100)
+    monkeypatch.setattr(linalg, "LUFactor", CountingLU)
+    res = solve(ProblemInstance(sparse_instance(80, 40)))
+    assert res.converged and res.sigma_error == ""
+    assert built == [(80, 80)]
+
+
+def test_sparse_one_column_input_takes_dense_certificate(monkeypatch):
+    # svds needs min(m, n) >= 2, so a single sparse column above the
+    # threshold keeps the exact SVD instead of raising from Lanczos
+    rng = np.random.default_rng(45)
+    A = sp.csr_array(rng.standard_normal((30, 1)))
+    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 10)
+    res = solve(ProblemInstance(A))
+    assert res.converged and res.sigma_error == ""
+    assert abs(res.distance - np.linalg.norm(A.toarray())) <= 1e-10 * res.distance
+    s = np.linalg.svd(A.toarray() + as_dense(res.delta), compute_uv=False)
+    assert res.sigma_min == s[-1] and res.sigma_max == s[0]
+
+
+def test_sparse_certificate_failure_is_recorded(monkeypatch):
+    # the Lanczos run for sigma_max(A + Delta), the second svds call of the
+    # solve after the one for sigma_max(A), fails without failing the solve
+    calls = []
+    svds = spla.svds
+
+    def failing_second_svds(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        return svds(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 100)
+    monkeypatch.setattr(spla, "svds", failing_second_svds)
+    res = solve(ProblemInstance(sparse_instance(80, 40)))
+    assert len(calls) == 2
+    assert res.converged
+    assert res.sigma_min is None and res.sigma_max is None
+    assert res.sigma_error == "sigma(A+Delta) not computed: ArpackNoConvergence"
 
 
 def test_certificate_failure_is_recorded(monkeypatch):

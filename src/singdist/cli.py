@@ -99,14 +99,6 @@ def _solver_options(args) -> SolverOptions:
     )
 
 
-def _start_dicts(result):
-    return [dataclasses.asdict(s) for s in result.starts]
-
-
-def _trace_dicts(result):
-    return [dataclasses.asdict(r) for r in result.trace]
-
-
 def _result_report(command, input_desc, options, result, converged):
     return {
         "schema": SCHEMA_VERSION,
@@ -126,8 +118,8 @@ def _result_report(command, input_desc, options, result, converged):
         "inner_iterations": result.inner_iterations,
         "start_index": result.start_index,
         "message": result.message,
-        "starts": _start_dicts(result),
-        "trace": _trace_dicts(result),
+        "starts": result.starts,
+        "trace": result.trace,
         "wall_time_s": result.wall_time,
     }
 
@@ -161,7 +153,7 @@ def cmd_solve(args) -> int:
           f"structure {structure_desc} (dim {structure.dim})")
     if converged:
         cert = certify_solution(P, result)
-        report["certification"] = dataclasses.asdict(cert)
+        report["certification"] = cert
         print(f"distance ||Delta||_F = {result.distance:.12e}")
         print(f"converged: {result.message} ({result.iterations} Newton iterations, "
               f"start {result.start_index})")
@@ -243,7 +235,7 @@ def cmd_gcd(args) -> int:
         "schema": SCHEMA_VERSION,
         "command": "gcd",
         "input": input_desc,
-        "options": dataclasses.asdict(opts),
+        "options": opts,
         "results": rows,
     }
     _emit(report, args.out)
@@ -280,7 +272,7 @@ def cmd_certify(args) -> int:
         },
         "passed": passed,
         "structure_residual": proj_residual,
-        "certification": dataclasses.asdict(cert),
+        "certification": cert,
     }
     if not in_structure:
         print(f"FAIL: perturbation is not in the structure "

@@ -9,10 +9,10 @@ backends stay swappable:
   augmented matrix [[0, A], [A^T, 0]]; the triplet solver and the Newton
   preconditioner share it, so A is factored once per problem.
 * ``smallest_singular_triplets``: the K smallest singular triplets of a dense
-  or sparse matrix. Dense, small or rectangular input goes through a full
-  SVD; large sparse square input uses shift-and-invert Lanczos on the
-  augmented matrix with ``aug_inverse`` as the inverse operator, which is
-  robust for singular values near zero.
+  or sparse matrix. Handed an ``LUFactor`` of A, it runs shift-and-invert
+  Lanczos on the augmented matrix with ``aug_inverse`` as the inverse
+  operator, which is robust for singular values near zero; without one it
+  takes a full SVD. The caller decides which by passing the LU or not.
 * ``solve_dense``: LU solve with a condition estimate, falling back to a
   minimum-norm least-squares solution when the matrix is numerically
   singular.
@@ -21,11 +21,6 @@ backends stay swappable:
   relative residual and returns it, so callers can treat inexact solutions
   as search directions, and it can carry a recycled subspace from one
   system to the next of a slowly varying sequence (the Newton steps).
-
-Input with more than ``DENSE_THRESHOLD`` total unknowns (m + n) takes the
-sparse and Krylov routes. Every route, here and in the solver, reads the
-module constant at call time, so setting ``linalg.DENSE_THRESHOLD`` moves
-them all.
 """
 
 from __future__ import annotations
@@ -54,17 +49,11 @@ __all__ = [
     "frobenius_norm",
 ]
 
-#: problems with at most this many total unknowns (m + n), dense or sparse,
-#: assemble H_beta densely; sparse ones also take the dense SVD for their
-#: triplets. It lies above the measured crossovers to the Krylov path (about
-#: m + n = 250 for sparse and 600 for dense input) so that small, hard
-#: problems keep the dense solve and its least-squares fallback.
-DENSE_THRESHOLD = 1000
-
-#: largest order of a dense fallback when A has no usable LU: the SVD of a
-#: square A whose LU or Lanczos run fails, and the dense H_beta (order m + n)
-#: of a rectangular or exactly singular A. A memory cap, not a crossover:
-#: 4000^2 doubles is 128 MB.
+#: largest order of a dense fallback: the dense SVD of a sparse A takes at
+#: most DENSE_FALLBACK_MAX_N^2 entries (a square A of order 4000, also one
+#: whose Lanczos run fails), and the dense H_beta of an A without LU has
+#: order m + n at most this. A memory cap, not a crossover: 4000^2 doubles
+#: is 128 MB.
 DENSE_FALLBACK_MAX_N = 4000
 
 #: inner FGMRES cycle length m of GCROT(m, k); the preconditioned Newton
@@ -162,6 +151,11 @@ def factorize(A):
 
 
 def _dense_triplets(A, k):
+    m, n = A.shape
+    if sp.issparse(A) and m * n > DENSE_FALLBACK_MAX_N**2:
+        raise TripletError(
+            f"dense SVD of a sparse {m} x {n} matrix exceeds {DENSE_FALLBACK_MAX_N}^2 entries"
+        )
     U, s, Vt = scipy.linalg.svd(as_dense(A), full_matrices=False)
     out = []
     for i in range(1, k + 1):
@@ -169,10 +163,10 @@ def _dense_triplets(A, k):
     return out, float(s[0])
 
 
-def _sparse_triplets(A, k, factor):
+def _lanczos_triplets(A, k, factor):
     """Shift-and-invert Lanczos at zero on the augmented matrix, inverted by ``factor``."""
     m, n = A.shape
-    A_T = A.T.tocsr()
+    A_T = A.T.tocsr() if sp.issparse(A) else A.T
     aug = spla.LinearOperator(
         (m + n, m + n), dtype=float,
         matvec=lambda x: np.concatenate([A @ x[m:], A_T @ x[:m]]),
@@ -201,9 +195,10 @@ def _sparse_triplets(A, k, factor):
 
 
 def spectral_norm(A):
-    """Largest singular value of a sparse ``A`` by Lanczos (``svds``); needs min(m, n) >= 2.
+    """Largest singular value of a dense or sparse ``A`` by Lanczos (``svds``).
 
-    The start vector is drawn from seed 0, so the result is repeatable.
+    Needs min(m, n) >= 2. The start vector is drawn from seed 0, so the
+    result is repeatable.
     """
     v0 = np.random.default_rng(0).standard_normal(min(A.shape))
     s = spla.svds(A, k=1, which="LM", v0=v0, return_singular_vectors=False)
@@ -216,33 +211,26 @@ def smallest_singular_triplets(A, k=1, *, factor=None):
     Returns ``(trips, sigma_max)``: a list of (sigma, u, v) with unit-norm
     vectors satisfying ``A v = sigma u`` and ``A^T u = sigma v`` to a
     relative residual of 1e-10, and the largest singular value of ``A``,
-    which every route computes for that check. Dense, rectangular or small
-    input (m + n at most ``DENSE_THRESHOLD``) uses a full SVD. Large sparse
-    square input uses shift-and-invert Lanczos from a fixed start vector
-    (seed 0) through ``factor``, an ``LUFactor`` of A that is built here
-    when not given. If A cannot be factored or Lanczos fails, the dense SVD
-    takes over up to order ``DENSE_FALLBACK_MAX_N``; beyond it
-    ``TripletError`` is raised. A triplet residual above the bound raises
-    ``TripletError`` with the achieved residual.
+    which every route computes for that check. With ``factor``, an
+    ``LUFactor`` of a square A (dense or sparse), the triplets come from
+    shift-and-invert Lanczos from a fixed start vector (seed 0) and
+    sigma_max from ``spectral_norm``; if Lanczos fails, and without
+    ``factor``, a full SVD takes over. The SVD of a sparse A with more than
+    ``DENSE_FALLBACK_MAX_N``^2 entries raises ``TripletError``, as does a
+    triplet residual above the bound, with the achieved residual.
     """
     A = validate_matrix(A)
     m, n = A.shape
     if k < 1 or k > min(m, n):
         raise DimensionMismatchError(f"k={k} out of range for shape {A.shape}")
-    if not sp.issparse(A) or m + n <= DENSE_THRESHOLD or m != n:
+    if factor is None:
         trips, norm_a = _dense_triplets(A, k)
     else:
         try:
-            if factor is None:
-                factor = factorize(A)
-            if factor is None:
-                raise TripletError("A is exactly singular; no LU for shift-and-invert")
-            trips = _sparse_triplets(A, k, factor)
+            trips = _lanczos_triplets(A, k, factor)
             norm_a = spectral_norm(A)
-        except (TripletError, RuntimeError, np.linalg.LinAlgError) as exc:
-            # singular factorization, Lanczos breakdown or no convergence
-            if n > DENSE_FALLBACK_MAX_N:
-                raise TripletError(f"sparse triplet computation failed: {exc}") from exc
+        except (TripletError, RuntimeError, np.linalg.LinAlgError):
+            # Lanczos breakdown or no convergence
             trips, norm_a = _dense_triplets(A, k)
     scale = max(norm_a, 1e-300)
     worst = 0.0

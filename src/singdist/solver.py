@@ -64,6 +64,14 @@ START_PROJECTION_TOL = 1e-14
 #: step halvings tried per Newton iteration before the run stops without descent
 MAX_BACKTRACKS = 40
 
+#: problems with at most this many total unknowns (m + n), dense or sparse,
+#: assemble H_beta densely and take the full SVD for their triplets and
+#: certificate; larger square ones are LU-factored once. It lies above the
+#: measured crossovers to the Krylov path (about m + n = 250 for sparse and
+#: 600 for dense input) so that small, hard problems keep the dense solve
+#: and its least-squares fallback.
+DENSE_THRESHOLD = 1000
+
 #: forcing term of the Krylov path: the true relative residual every inner
 #: GCROT solve reaches; tighter values cost time, not accuracy
 INNER_TOL = 1e-2
@@ -76,7 +84,7 @@ class SolverOptions:
     ``beta`` and ``grad_tol`` default to ``None``, meaning ||A||_F and
     1e-12 ||A||_F respectively, resolved per instance. Which path a solve
     takes is decided by size, not by an option: see
-    ``ProblemInstance.use_dense_newton`` and ``linalg.DENSE_THRESHOLD``.
+    ``ProblemInstance.use_dense_newton`` and ``DENSE_THRESHOLD``.
     The Krylov forcing term is the constant ``INNER_TOL``.
     """
 
@@ -122,8 +130,7 @@ class ProblemInstance:
         self.structure = structure
         self.options = options if options is not None else SolverOptions()
         self.norm_fro = linalg.frobenius_norm(self.A)
-        self.is_sparse = sp.issparse(self.A)
-        self._A_T = self.A.T.tocsr() if self.is_sparse else self.A.T
+        self._A_T = self.A.T.tocsr() if sp.issparse(self.A) else self.A.T
         self._A_dense = None
 
     @property
@@ -142,7 +149,7 @@ class ProblemInstance:
     def use_dense_newton(self):
         """Whether the Newton step assembles H_beta densely.
 
-        True up to ``linalg.DENSE_THRESHOLD`` unknowns (m + n), and also up to
+        True up to ``DENSE_THRESHOLD`` unknowns (m + n), and also up to
         ``linalg.DENSE_FALLBACK_MAX_N`` when A has no LU (rectangular or
         exactly singular): unpreconditioned Krylov solves stall on such systems
         where the dense solve and its least-squares fallback converge.
@@ -154,10 +161,13 @@ class ProblemInstance:
     def factor(self):
         """``linalg.LUFactor`` of A, shared by the triplets and the Newton preconditioner.
 
-        Built on first use above ``linalg.DENSE_THRESHOLD``; None at or below
-        it, and when A is rectangular or exactly singular.
+        Built on first use for a square A, dense or sparse, above
+        ``DENSE_THRESHOLD`` unknowns (m + n); None at or below it, and when
+        A is rectangular or exactly singular. Whether it exists picks the
+        route of the triplets (shift-and-invert Lanczos or a full SVD) and
+        of the Newton steps (see ``use_dense_newton``).
         """
-        if self.m != self.n or self.m + self.n <= linalg.DENSE_THRESHOLD:
+        if self.m != self.n or self.m + self.n <= DENSE_THRESHOLD:
             return None
         return linalg.factorize(self.A)
 
@@ -350,11 +360,12 @@ class SolveResult:
     """Outcome of a Newton run (or of the best start under multi-start).
 
     ``sigma_min`` and ``sigma_max`` of A + Delta are set by ``solve`` on its
-    converged result. Up to ``linalg.DENSE_THRESHOLD`` unknowns (and for
-    dense A) both are exact, from a full SVD. Above it, for sparse A,
-    ``sigma_min`` is the residual upper bound ||(A + Delta) v|| (or its left
-    counterpart), which certifies singularity without factoring A + Delta,
-    and ``sigma_error`` can only come from the Lanczos run for ``sigma_max``.
+    converged result. Up to ``DENSE_THRESHOLD`` unknowns (m + n), and for a
+    single row or column, both are exact, from a full SVD. Above it, dense
+    or sparse, ``sigma_min`` is the residual upper bound ||(A + Delta) v||
+    (or its left counterpart), which certifies singularity without factoring
+    A + Delta, and ``sigma_error`` can only come from the Lanczos run for
+    ``sigma_max``.
     """
 
     converged: bool
@@ -516,9 +527,9 @@ def starting_values(P: ProblemInstance, K: int | None = None, triplets=None):
 def _certificate_sigmas(P: ProblemInstance, result: SolveResult):
     """(sigma_min, sigma_max, reason) of B = A + Delta; the sigmas are None when unavailable.
 
-    Dense A, or at most ``linalg.DENSE_THRESHOLD`` unknowns (m + n), or a
-    single row or column: both sigmas are exact, from a full SVD. Larger
-    sparse A is not factored again: ``sigma_min`` is the residual upper
+    At most ``DENSE_THRESHOLD`` unknowns (m + n), or a single row or
+    column: both sigmas are exact, from a full SVD. A larger A, dense or
+    sparse, is not factored again: ``sigma_min`` is the residual upper
     bound the root (u, v) gives, computed explicitly from B as ||B v|| / ||v||
     when m >= n and ||B^T u|| / ||u|| when m <= n (the smaller when square),
     and ``sigma_max`` comes from one Lanczos run (``linalg.spectral_norm``),
@@ -527,10 +538,10 @@ def _certificate_sigmas(P: ProblemInstance, result: SolveResult):
     deterministic.
     """
     try:
-        if not P.is_sparse or P.m + P.n <= linalg.DENSE_THRESHOLD or min(P.m, P.n) < 2:
+        if P.m + P.n <= DENSE_THRESHOLD or min(P.m, P.n) < 2:
             s = np.linalg.svd(P.dense_A() + as_dense(result.delta), compute_uv=False)
             return float(s[-1]), float(s[0]), ""
-        B = sp.csr_array(P.A + result.delta)
+        B = P.A + result.delta
         smax = linalg.spectral_norm(B)
         u, v = result.u, result.v
         bounds = []

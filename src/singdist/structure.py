@@ -379,7 +379,7 @@ class BasisStructure(LinearStructure):
     def project_rank1(self, u, v):
         u, v = self._uv(u, v)
         # <B_i, u v^T> = u^T B_i v, the i-th entry of M(v)^T u
-        return self.from_coefficients(self.apply_mt(v, u))
+        return self.from_coefficients(self._mt(v, u))
 
     def apply_m(self, v, x):
         v = _as_vector(v, self.shape[1], "v")
@@ -387,11 +387,15 @@ class BasisStructure(LinearStructure):
         w = self._vals * x[self._idx] * v[self._cols]
         return np.bincount(self._rows, weights=w, minlength=self.shape[0])
 
+    def _mt(self, v, y):
+        """``M(v)^T y`` for checked vectors, shared so no operator calls another public one."""
+        w = self._vals * v[self._cols] * y[self._rows]
+        return np.bincount(self._idx, weights=w, minlength=self.dim)
+
     def apply_mt(self, v, y):
         v = _as_vector(v, self.shape[1], "v")
         y = _as_vector(y, self.shape[0], "y")
-        w = self._vals * v[self._cols] * y[self._rows]
-        return np.bincount(self._idx, weights=w, minlength=self.dim)
+        return self._mt(v, y)
 
     def apply_n(self, u, x):
         u = _as_vector(u, self.shape[0], "u")
@@ -421,4 +425,4 @@ class BasisStructure(LinearStructure):
         u, v = self._uv(u, v)
         Mm = self.m_matrix(v)
         Nm = self.n_matrix(u)
-        return as_dense(self.project_rank1(u, v)) + Mm @ Nm.T
+        return as_dense(self.from_coefficients(self._mt(v, u))) + Mm @ Nm.T

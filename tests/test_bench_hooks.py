@@ -16,9 +16,9 @@ from singdist import BasisStructure, FullStructure, SparsityPattern, StructureEr
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
 
-#: structure ops that call other traced ops: BasisStructure.project_rank1
-#: calls apply_mt, and its h_offdiag calls project_rank1
-NESTED_SPANS = {("BasisStructure", "project_rank1"): 2, ("BasisStructure", "h_offdiag"): 3}
+#: structure ops that call other traced ops, with the spans one call records;
+#: none do, so every op records exactly one span
+NESTED_SPANS = {}
 
 
 def load_tracing():

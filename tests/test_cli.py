@@ -204,8 +204,10 @@ def test_gcd_identical_pair_from_file(tmp_path):
     assert rep["results"][0]["reliable"] is False
 
 
-def test_gcd_bad_degree():
+def test_gcd_bad_degree(capsys):
     assert run(["gcd", "--builtin", "clustered", "--d", 99]) == 1
+    assert run(["gcd", "--builtin", "clustered", "--sweep", "9-8"]) == 1
+    assert capsys.readouterr().err.endswith("error: --sweep expects D1:D2, got '9-8'\n")
 
 
 @pytest.mark.parametrize("flag, message", [
@@ -253,6 +255,21 @@ def test_certify_pipeline_and_negative_controls(tmp_path):
 
     scipy.io.mmwrite(pattern_file, sp.coo_array(np.triu(np.ones((6, 6)))))
     assert run(["certify", mat, delta_path, v_path, "--pattern", pattern_file]) == 2
+
+
+def test_certify_input_errors(tmp_path, capsys):
+    mat = write_diag(tmp_path)
+    delta = tmp_path / "delta.mtx"
+    v = tmp_path / "v.mtx"
+    write_matrix(delta, np.zeros((3, 3)))
+    write_vector(v, np.array([0.0, 1.0]))
+    assert run(["certify", mat, delta, v, "--full"]) == 1
+    assert capsys.readouterr().err == (
+        "error: delta shape (3, 3) does not match matrix shape (2, 2)\n")
+    write_matrix(delta, np.diag([0.0, -1.0]))
+    write_vector(v, np.array([0.0, 1.0, 0.0]))
+    assert run(["certify", mat, delta, v, "--full"]) == 1
+    assert capsys.readouterr().err == "error: v has length 3, expected 2\n"
 
 
 def test_version_flag(capsys):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from singdist import DimensionMismatchError, ProblemInstance, linalg, solve
-from singdist.linalg import (_sparse_triplets, factorize, smallest_singular_triplets, solve_dense,
+from singdist import DimensionMismatchError, ProblemInstance, TripletError, linalg, solve
+from singdist.linalg import (_lanczos_triplets, factorize, smallest_singular_triplets, solve_dense,
                              solve_symmetric_iterative, spectral_norm)
 
 
@@ -55,27 +56,53 @@ def test_triplet_residual_bounds_random():
 
 
 def test_sparse_triplets_agree_with_dense(monkeypatch):
-    # exercise the shift-invert path explicitly (the public entry point
-    # routes a matrix this small through the dense SVD unless the threshold
-    # is lowered)
+    # shift-and-invert through the LU of A, for sparse and dense A alike
     rng = np.random.default_rng(13)
     n = 60
     A = sp.random(n, n, density=0.1, random_state=np.random.RandomState(13),
                   format="csr") + sp.diags(1.0 + rng.random(n))
     A = sp.csr_array(A)
     s_ref = np.linalg.svd(A.toarray(), compute_uv=False)
-    factor = factorize(A)
-    trips = _sparse_triplets(A, 2, factor)
-    assert abs(trips[0][0] - s_ref[-1]) <= 1e-9 * s_ref[0]
-    assert abs(trips[1][0] - s_ref[-2]) <= 1e-9 * s_ref[0]
-    assert triplet_residuals(A, trips) <= 1e-10 * s_ref[0]
-    # the public entry point with a shared LU, and with one it builds itself
-    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 0)
-    for shared in (factor, None):
+    for M in (A.toarray(), A):
+        factor = factorize(M)
+        trips = _lanczos_triplets(M, 2, factor)
+        assert abs(trips[0][0] - s_ref[-1]) <= 1e-9 * s_ref[0]
+        assert abs(trips[1][0] - s_ref[-2]) <= 1e-9 * s_ref[0]
+        assert triplet_residuals(A, trips) <= 1e-10 * s_ref[0]
+    # the public entry point takes the Lanczos route when handed the LU and
+    # the full SVD otherwise: the route is the caller's, so linalg holds no
+    # threshold and factors nothing itself
+    assert not hasattr(linalg, "DENSE_THRESHOLD")
+    svd_calls = []
+    svd = scipy.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svd_calls.append(1)
+        return svd(*args, **kwargs)
+
+    def no_factorize(A):
+        raise AssertionError("smallest_singular_triplets factored A")
+
+    monkeypatch.setattr(linalg, "factorize", no_factorize)
+    monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
+    for shared, dense_svds in ((factor, 0), (None, 1)):
+        svd_calls.clear()
         trips, norm_a = smallest_singular_triplets(A, 2, factor=shared)
+        assert len(svd_calls) == dense_svds
         assert abs(trips[0][0] - s_ref[-1]) <= 1e-9 * s_ref[0]
         assert abs(trips[1][0] - s_ref[-2]) <= 1e-9 * s_ref[0]
         assert abs(norm_a - s_ref[0]) <= 1e-8 * s_ref[0]
+
+
+def test_dense_svd_of_large_sparse_input_raises(monkeypatch):
+    # the memory cap of the dense SVD counts entries, so a rectangular
+    # sparse A above it raises instead of being densified
+    A = sp.csr_array(sp.random(60, 90, density=0.1, random_state=np.random.RandomState(15)))
+    smallest_singular_triplets(A, 1)
+    monkeypatch.setattr(linalg, "DENSE_FALLBACK_MAX_N", 50)
+    with pytest.raises(TripletError, match="exceeds"):
+        smallest_singular_triplets(A, 1)
+    smallest_singular_triplets(A.toarray(), 1)
 
 
 def test_lu_factor_solves_and_inverts_augmented():

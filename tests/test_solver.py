@@ -4,11 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from singdist import (
     AllStartsFailed,
+    DimensionMismatchError,
     FullStructure,
     ProblemInstance,
     SolverOptions,
@@ -356,7 +358,7 @@ def assert_sigma_bound(A, res):
 def test_krylov_path_matches_dense_path(monkeypatch):
     A = sparse_instance(80, 40)
     dense = solve(ProblemInstance(A))
-    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 100)
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
     P = ProblemInstance(A)
     assert not P.use_dense_newton and P.factor is not None
     krylov = solve(P)
@@ -377,7 +379,7 @@ def test_krylov_newton_step_meets_inner_tol(monkeypatch):
     # directions for a changed H_beta
     A = sparse_instance(80, 40)
     rng = np.random.default_rng(41)
-    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 100)
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
     for inner_tol in (1e-2, 1e-6):
         monkeypatch.setattr(solver, "INNER_TOL", inner_tol)
         P = ProblemInstance(A)
@@ -404,7 +406,7 @@ def test_krylov_multistart_starts_are_independent(monkeypatch):
     # each start recycles Krylov directions only across its own steps: its
     # summary under multistart equals that of running the start alone
     A = sparse_instance(80, 40)
-    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 100)
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
     P = ProblemInstance(A, options=SolverOptions(multistart=3))
     assert not P.use_dense_newton
     res = solve(P)
@@ -424,7 +426,7 @@ def test_krylov_path_converges_on_hard_small_input(monkeypatch):
     A = sp.csr_array(sp.random(50, 50, density=0.1, random_state=1)
                      + sp.diags(0.5 + np.random.default_rng(1).random(50)))
     dense = solve(ProblemInstance(A))
-    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 0)
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 0)
     P = ProblemInstance(A)
     assert not P.use_dense_newton and P.factor is not None
     krylov = solve(P)
@@ -432,17 +434,60 @@ def test_krylov_path_converges_on_hard_small_input(monkeypatch):
     assert abs(krylov.distance - dense.distance) <= 1e-9 * dense.distance
 
 
+def count_lu(monkeypatch):
+    """Record the shape of every ``LUFactor`` construction, failed ones included."""
+    built = []
+
+    class CountingLU(linalg.LUFactor):
+        def __init__(self, A):
+            built.append(A.shape)
+            super().__init__(A)
+
+    monkeypatch.setattr(linalg, "LUFactor", CountingLU)
+    return built
+
+
 def test_singular_sparse_input_above_threshold_short_circuits(monkeypatch):
-    # an exactly singular square input has no LU; the triplets fall back to
-    # the dense SVD and the solve reports distance 0
+    # an exactly singular square input has no LU; its one failed LU attempt
+    # sends the triplets to the dense SVD and the solve reports distance 0
     A = sparse_instance(60, 42).tolil()
     A[7, :] = 0.0
-    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 50)
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 50)
+    built = count_lu(monkeypatch)
     P = ProblemInstance(sp.csr_array(A))
     assert P.factor is None
     res = solve(P)
     assert res.converged and res.distance == 0.0
     assert "singular" in res.message
+    assert built == [(60, 60)]
+
+
+def test_dense_input_above_threshold_reuses_its_lu(monkeypatch):
+    # dense A takes the routes of sparse A: its one LU gives the triplets by
+    # shift-and-invert and preconditions the Newton steps, and the
+    # certificate needs no SVD of A + Delta
+    A = sparse_instance(40, 46).toarray()
+    reference = solve(ProblemInstance(A))
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 50)
+    built = count_lu(monkeypatch)
+    svd_calls = []
+
+    def counting(svd):
+        def wrapped(*args, **kwargs):
+            svd_calls.append(svd.__module__)
+            return svd(*args, **kwargs)
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "svd", counting(scipy.linalg.svd))
+        patch.setattr(np.linalg, "svd", counting(np.linalg.svd))
+        res = solve(ProblemInstance(A))
+    assert built == [(40, 40)]
+    assert svd_calls == []
+    assert reference.converged and res.converged and res.inner_iterations > 0
+    assert abs(res.distance - reference.distance) <= 1e-10 * reference.distance
+    assert res.sigma_error == ""
+    assert_sigma_bound(A, res)
 
 
 def test_rectangular_sparse_input_routing(monkeypatch):
@@ -452,7 +497,7 @@ def test_rectangular_sparse_input_routing(monkeypatch):
     # (order 150 > the length of the first cycle)
     A = sp.csr_array(sp.random(60, 90, density=0.3, random_state=np.random.RandomState(44)))
     dense = solve(ProblemInstance(A))
-    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 20)
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 20)
     P = ProblemInstance(A)
     assert P.factor is None and P.use_dense_newton
     monkeypatch.setattr(linalg, "DENSE_FALLBACK_MAX_N", 100)
@@ -469,15 +514,8 @@ def test_rectangular_sparse_input_routing(monkeypatch):
 def test_sparse_solve_factors_A_once(monkeypatch):
     # the certificate of A + Delta factors nothing: the LU of A, built for
     # the triplets and the preconditioner, is the only one of the solve
-    built = []
-
-    class CountingLU(linalg.LUFactor):
-        def __init__(self, A):
-            built.append(A.shape)
-            super().__init__(A)
-
-    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 100)
-    monkeypatch.setattr(linalg, "LUFactor", CountingLU)
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
+    built = count_lu(monkeypatch)
     res = solve(ProblemInstance(sparse_instance(80, 40)))
     assert res.converged and res.sigma_error == ""
     assert built == [(80, 80)]
@@ -488,7 +526,7 @@ def test_sparse_one_column_input_takes_dense_certificate(monkeypatch):
     # threshold keeps the exact SVD instead of raising from Lanczos
     rng = np.random.default_rng(45)
     A = sp.csr_array(rng.standard_normal((30, 1)))
-    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 10)
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 10)
     res = solve(ProblemInstance(A))
     assert res.converged and res.sigma_error == ""
     assert abs(res.distance - np.linalg.norm(A.toarray())) <= 1e-10 * res.distance
@@ -508,7 +546,7 @@ def test_sparse_certificate_failure_is_recorded(monkeypatch):
             raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
         return svds(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "DENSE_THRESHOLD", 100)
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
     monkeypatch.setattr(spla, "svds", failing_second_svds)
     res = solve(ProblemInstance(sparse_instance(80, 40)))
     assert len(calls) == 2
@@ -533,6 +571,19 @@ def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(beta=-1.0)
     with pytest.raises(ValueError):
+        SolverOptions(grad_tol=0.0)
+    with pytest.raises(ValueError):
         SolverOptions(multistart=0)
     with pytest.raises(ValueError):
         SolverOptions(multistart_mode="sometimes")
+
+
+def test_problem_instance_resolves_options_and_checks_structure_shape():
+    # beta and grad_tol default to multiples of ||A||_F; set, they are used as given
+    A = np.diag([3.0, 4.0])
+    P = ProblemInstance(A)
+    assert P.beta == 5.0 and P.grad_tol == 5e-12
+    P = ProblemInstance(A, options=SolverOptions(beta=0.25, grad_tol=1e-9))
+    assert P.beta == 0.25 and P.grad_tol == 1e-9
+    with pytest.raises(DimensionMismatchError, match="structure shape"):
+        ProblemInstance(A, FullStructure(2, 3))

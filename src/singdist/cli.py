@@ -20,12 +20,12 @@ import types
 import numpy as np
 import scipy.sparse as sp
 
-from . import __version__, mmio
+from . import __version__, linalg, mmio
 from .errors import AllStartsFailed, InputError, SingdistError
 from .gcd import default_gcd_options, extract_cofactors, build_sylvester, gcd_distance, make_test_polynomials
 from .oracle import certify_solution
 from .solver import ProblemInstance, SolverOptions, solve
-from .structure import FullStructure, SparsityPattern, as_dense
+from .structure import FullStructure, SparsityPattern
 
 __all__ = ["main", "cmd_solve", "cmd_gcd", "cmd_certify", "render_report"]
 
@@ -169,8 +169,7 @@ def cmd_solve(args) -> int:
         print(f"did not converge: {result.message}")
         print(f"best ||G_beta|| = {result.grad_norm:.3e} after {result.iterations} iterations")
     if args.write_delta:
-        delta = result.delta
-        mmio.write_matrix(args.write_delta, delta if sp.issparse(delta) else as_dense(delta))
+        mmio.write_matrix(args.write_delta, result.delta)
         print(f"perturbation written to {args.write_delta}")
     _emit(report, args.out)
     return 0 if converged else 2
@@ -252,9 +251,8 @@ def cmd_certify(args) -> int:
         raise InputError(f"v has length {v.size}, expected {A.shape[1]}")
     structure, structure_desc = _load_structure(args, A)
     P = ProblemInstance(A, structure)
-    delta_dense = as_dense(delta)
-    proj_residual = float(np.linalg.norm(as_dense(structure.project(delta)) - delta_dense))
-    distance = float(np.linalg.norm(delta_dense))
+    proj_residual = linalg.frobenius_norm(structure.project(delta) - delta)
+    distance = linalg.frobenius_norm(delta)
     in_structure = proj_residual <= STRUCTURE_RESIDUAL_TOL * max(1.0, distance)
     shim = types.SimpleNamespace(v=v, distance=distance)
     cert = certify_solution(P, shim, eps=args.eps, tol_cert=args.tol)

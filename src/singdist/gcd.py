@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .errors import AllStartsFailed, ExtractionError, InputError
 from .solver import ProblemInstance, SolveResult, SolverOptions, solve
-from .structure import BasisStructure, as_dense
+from .structure import BasisStructure
 
 __all__ = [
     "PolynomialPair",
@@ -182,7 +182,7 @@ def gcd_distance(pair: PolynomialPair, d: int, options: SolverOptions | None = N
         if exc.best is None:
             raise
         result = exc.best
-    coords = inst.structure.coefficients(as_dense(result.delta))
+    coords = inst.structure.coefficients(result.delta)
     delta_p = coords[: pair.deg_p + 1]
     delta_q = coords[pair.deg_p + 1 :]
     distance = float(result.distance)

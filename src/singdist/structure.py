@@ -1,21 +1,27 @@
 """Linear matrix structures and their projection and rank-1 operators.
 
-A structure S is a linear subspace of m x n real matrices. Two kinds are
-implemented: a sparsity pattern (``SparsityPattern``) and a general
-orthonormal basis (``BasisStructure``). The unconstrained space
-(``FullStructure``) is the pattern of every entry. Every structure owns the
-orthogonal projection ``project``, the projected rank-1 map
-``project_rank1(u, v) = project(u v^T)``, and matrix-free applications of
-the operators
+A structure S is a linear subspace of m x n real matrices with an
+orthonormal basis B_1 .. B_p (Frobenius inner product), stored in one form:
+the E entries (i, j) that some member can touch, in row-major order, and
+the p x E coefficient matrix V whose row k is vec(B_k) on those entries.
+A sparsity pattern (``SparsityPattern``) has the elementary matrices
+e_i e_j^T of its entries as basis, so V is the identity and is not stored;
+a general orthonormal basis is a ``BasisStructure``; the unconstrained
+space (``FullStructure``) is the pattern of every entry.
 
-    M(v): R^p -> R^m,  columns B_i v   (B_1 .. B_p the orthonormal basis)
-    N(u): R^p -> R^n,  columns B_i^T u
+Each operator is written once, on ``LinearStructure``: the orthogonal
+projection ``project``, the projected rank-1 map
+``project_rank1(u, v) = project(u v^T)``, and matrix-free applications of
+
+    M(v): R^p -> R^m,  columns B_k v
+    N(u): R^p -> R^n,  columns B_k^T u
 
 which appear throughout the residual and curvature formulas of the solver.
-For patterns the basis is the set of elementary matrices e_i e_j^T over the
-pattern in row-major order, M M^T and N N^T are diagonal, and all operations
-run in O(p) without forming any dense matrix; a general basis has dense
-Gram blocks, assembled from ``m_matrix`` and ``n_matrix``.
+Each is the pattern kernel on the E entries composed with V (entry values
+to coordinates) or V^T (coordinates to entry values), so time and memory
+follow E and the nonzeros of V, never m n. Pattern Gram blocks M M^T and
+N N^T are diagonal (``gram_diagonals``); a general basis has dense ones,
+assembled from ``m_matrix`` and ``n_matrix``.
 """
 
 from __future__ import annotations
@@ -58,10 +64,14 @@ def _as_vector(x, length, what):
 
 
 class LinearStructure:
-    """Abstract base for linear matrix subspaces.
+    """A linear matrix subspace in its stored form, with every operator.
 
-    Subclasses provide ``shape`` (m, n) and ``dim`` (the number p of basis
-    elements) and implement the operations below. All operations are
+    ``shape`` is (m, n) and ``dim`` the number p of basis elements.
+    ``rows`` and ``cols`` hold the E entries that some member can touch, in
+    row-major order, which is also CSR order, so every member is a CSR
+    matrix on one symbolic structure. ``_V`` is the p x E coefficient
+    matrix (``None`` for the identity of a pattern) and ``_Vt`` its
+    transpose view. Subclasses only build this form. All operations are
     read-only; instances are immutable after construction and safe to share
     between concurrent solves.
 
@@ -72,9 +82,17 @@ class LinearStructure:
     from ``m_matrix`` and ``n_matrix``.
     """
 
-    shape: tuple
-    dim: int
     diagonal_gram = False
+
+    def __init__(self, shape, rows, cols, V=None):
+        self.shape = (int(shape[0]), int(shape[1]))
+        self.rows, self.cols = rows, cols
+        self.dim = rows.shape[0] if V is None else V.shape[0]
+        counts = np.bincount(rows, minlength=self.shape[0])
+        self._indices = cols.astype(np.int32)
+        self._indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+        self._V = V
+        self._Vt = None if V is None else V.T
 
     def _check_matrix(self, X, what="matrix"):
         if X.shape != self.shape:
@@ -86,29 +104,80 @@ class LinearStructure:
         m, n = self.shape
         return _as_vector(u, m, "u"), _as_vector(v, n, "v")
 
+    def _coords(self, w):
+        """Coordinates ``V w`` of the projection of the matrix with entry values w."""
+        return w if self._V is None else self._V @ w
+
+    def _values(self, x):
+        """Entry values ``V^T x`` of the member with coordinates x."""
+        return x if self._V is None else self._Vt @ x
+
+    def _member(self, w):
+        """The matrix with entry values w, as CSR."""
+        return sp.csr_array((w, self._indices, self._indptr), shape=self.shape)
+
+    def _entry_values(self, X):
+        """Values of ``X`` on the E entries, after checking it; a sparse X stays sparse."""
+        X = sp.csr_array(X) if sp.issparse(X) else np.asarray(X)
+        _check_real(X.data if sp.issparse(X) else X, "matrix")
+        self._check_matrix(X)
+        return np.asarray(X[self.rows, self.cols], dtype=float).ravel()
+
+    def _gram_factor(self, line, size, w):
+        """Dense size x p matrix with columns sum_t V[k, t] w_t e_{line_t}.
+
+        M(v) for (line, w) = (rows, v[cols]); N(u) for (cols, u[rows]).
+        """
+        p = self.dim
+        if self._V is None:
+            out = np.zeros((size, p))
+            out[line, np.arange(p)] = w
+            return out
+        V = self._V
+        k = np.repeat(np.arange(p), np.diff(V.indptr))
+        out = np.bincount(line[V.indices] * p + k, weights=V.data * w[V.indices],
+                          minlength=size * p)
+        return out.reshape(size, p)
+
     def project(self, X):
-        """Orthogonal projection of ``X`` onto the subspace."""
-        raise NotImplementedError
+        """Orthogonal projection of ``X`` onto the subspace (CSR for sparse X)."""
+        w = self._values(self._coords(self._entry_values(X)))
+        if sp.issparse(X):
+            return self._member(w)
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = w
+        return out
 
     def project_rank1(self, u, v):
-        """``project(u v^T)`` without materializing the outer product."""
-        raise NotImplementedError
+        """``project(u v^T)`` without materializing the outer product, as CSR."""
+        u, v = self._uv(u, v)
+        return self._member(self._values(self._coords(u[self.rows] * v[self.cols])))
 
     def apply_m(self, v, x):
         """``M(v) x`` for a coefficient vector x of length ``dim``."""
-        raise NotImplementedError
+        v = _as_vector(v, self.shape[1], "v")
+        x = _as_vector(x, self.dim, "x")
+        w = self._values(x) * v[self.cols]
+        return np.bincount(self.rows, weights=w, minlength=self.shape[0])
 
     def apply_mt(self, v, y):
         """``M(v)^T y`` for y of length m."""
-        raise NotImplementedError
+        v = _as_vector(v, self.shape[1], "v")
+        y = _as_vector(y, self.shape[0], "y")
+        return self._coords(y[self.rows] * v[self.cols])
 
     def apply_n(self, u, x):
         """``N(u) x`` for a coefficient vector x of length ``dim``."""
-        raise NotImplementedError
+        u = _as_vector(u, self.shape[0], "u")
+        x = _as_vector(x, self.dim, "x")
+        w = self._values(x) * u[self.rows]
+        return np.bincount(self.cols, weights=w, minlength=self.shape[1])
 
     def apply_nt(self, u, y):
         """``N(u)^T y`` for y of length n."""
-        raise NotImplementedError
+        u = _as_vector(u, self.shape[0], "u")
+        y = _as_vector(y, self.shape[1], "y")
+        return self._coords(u[self.rows] * y[self.cols])
 
     def gram_diagonals(self, u, v):
         """Diagonals of M(v) M(v)^T and N(u) N(u)^T.
@@ -116,21 +185,37 @@ class LinearStructure:
         Defined only where ``diagonal_gram`` is True; any other structure
         raises ``StructureError``.
         """
-        raise StructureError(
-            f"{type(self).__name__} has no diagonal Gram matrices"
-        )
+        if not self.diagonal_gram:
+            raise StructureError(f"{type(self).__name__} has no diagonal Gram matrices")
+        u, v = self._uv(u, v)
+        k1 = np.bincount(self.rows, weights=v[self.cols] ** 2, minlength=self.shape[0])
+        k2 = np.bincount(self.cols, weights=u[self.rows] ** 2, minlength=self.shape[1])
+        return k1, k2
 
     def h_offdiag(self, u, v):
-        """The off-diagonal curvature block ``project_rank1(u, v) + M(v) N(u)^T``."""
-        raise NotImplementedError
+        """The off-diagonal curvature block ``project_rank1(u, v) + M(v) N(u)^T``.
+
+        On a pattern M N^T is the projected rank-1 matrix itself, so the
+        block is twice it, as CSR; a general basis gives a dense array.
+        """
+        u, v = self._uv(u, v)
+        w = u[self.rows] * v[self.cols]
+        if self._V is None:
+            return self._member(2.0 * w)
+        M = self._gram_factor(self.rows, self.shape[0], v[self.cols])
+        out = M @ self._gram_factor(self.cols, self.shape[1], u[self.rows]).T
+        out[self.rows, self.cols] += self._values(self._coords(w))
+        return out
 
     def m_matrix(self, v):
         """Dense m x p assembly of M(v); intended for small problems and tests."""
-        raise NotImplementedError
+        v = _as_vector(v, self.shape[1], "v")
+        return self._gram_factor(self.rows, self.shape[0], v[self.cols])
 
     def n_matrix(self, u):
         """Dense n x p assembly of N(u); intended for small problems and tests."""
-        raise NotImplementedError
+        u = _as_vector(u, self.shape[0], "u")
+        return self._gram_factor(self.cols, self.shape[1], u[self.rows])
 
 
 class SparsityPattern(LinearStructure):
@@ -138,8 +223,8 @@ class SparsityPattern(LinearStructure):
 
     Entries are stored zero-based in canonical row-major order, which also
     fixes the basis enumeration: the k-th basis matrix is e_i e_j^T for the
-    k-th pattern entry (i, j). Duplicate or out-of-bounds entries are
-    rejected.
+    k-th pattern entry (i, j), so the coefficient matrix V is the identity.
+    Duplicate or out-of-bounds entries are rejected.
     """
 
     diagonal_gram = True
@@ -147,7 +232,6 @@ class SparsityPattern(LinearStructure):
     def __init__(self, n_rows, n_cols, entries):
         if n_rows <= 0 or n_cols <= 0:
             raise StructureError("dimensions must be positive")
-        self.shape = (int(n_rows), int(n_cols))
         entries = np.asarray(entries, dtype=np.int64)
         if entries.ndim != 2 or entries.shape[1] != 2:
             raise StructureError("entries must be an array of (row, col) pairs")
@@ -158,20 +242,9 @@ class SparsityPattern(LinearStructure):
             raise StructureError("pattern entry out of bounds")
         order = np.lexsort((cols, rows))
         rows, cols = rows[order], cols[order]
-        keys = rows * n_cols + cols
-        if np.any(np.diff(keys) == 0):
+        if np.any(np.diff(rows * n_cols + cols) == 0):
             raise StructureError("duplicate pattern entries")
-        self.rows = rows
-        self.cols = cols
-        self.dim = rows.shape[0]
-        # Row-major order is exactly CSR order, so the symbolic CSR structure
-        # of every matrix in the subspace can be precomputed once.
-        counts = np.bincount(rows, minlength=self.shape[0])
-        self._indptr = np.concatenate(([0], np.cumsum(counts)))
-        self._mask = sp.csr_array(
-            (np.ones(self.dim), cols.astype(np.int32), self._indptr.astype(np.int32)),
-            shape=self.shape,
-        )
+        super().__init__((n_rows, n_cols), rows, cols)
 
     @staticmethod
     def from_matrix(A):
@@ -194,78 +267,8 @@ class SparsityPattern(LinearStructure):
 
     def to_basis(self):
         """Equivalent ``BasisStructure`` of elementary matrices (small p only)."""
-        mats = []
-        for i, j in zip(self.rows, self.cols):
-            mats.append(
-                sp.csr_array(([1.0], ([int(i)], [int(j)])), shape=self.shape)
-            )
-        return BasisStructure(mats)
-
-    def _coef(self, data):
-        """Matrix in the subspace from per-entry values, as CSR."""
-        return sp.csr_array(
-            (data, self.cols.astype(np.int32), self._indptr.astype(np.int32)),
-            shape=self.shape,
-        )
-
-    def project(self, X):
-        if sp.issparse(X):
-            _check_real(X.data, "matrix")
-            self._check_matrix(X)
-            return sp.csr_array(X.multiply(self._mask))
-        X = np.asarray(X)
-        _check_real(X, "matrix")
-        self._check_matrix(X)
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = X[self.rows, self.cols]
-        return out
-
-    def project_rank1(self, u, v):
-        u, v = self._uv(u, v)
-        return self._coef(u[self.rows] * v[self.cols])
-
-    def apply_m(self, v, x):
-        v = _as_vector(v, self.shape[1], "v")
-        x = _as_vector(x, self.dim, "x")
-        return np.bincount(self.rows, weights=x * v[self.cols], minlength=self.shape[0])
-
-    def apply_mt(self, v, y):
-        v = _as_vector(v, self.shape[1], "v")
-        y = _as_vector(y, self.shape[0], "y")
-        return y[self.rows] * v[self.cols]
-
-    def apply_n(self, u, x):
-        u = _as_vector(u, self.shape[0], "u")
-        x = _as_vector(x, self.dim, "x")
-        return np.bincount(self.cols, weights=x * u[self.rows], minlength=self.shape[1])
-
-    def apply_nt(self, u, y):
-        u = _as_vector(u, self.shape[0], "u")
-        y = _as_vector(y, self.shape[1], "y")
-        return u[self.rows] * y[self.cols]
-
-    def gram_diagonals(self, u, v):
-        u, v = self._uv(u, v)
-        k1 = np.bincount(self.rows, weights=v[self.cols] ** 2, minlength=self.shape[0])
-        k2 = np.bincount(self.cols, weights=u[self.rows] ** 2, minlength=self.shape[1])
-        return k1, k2
-
-    def h_offdiag(self, u, v):
-        # M N^T coincides with the projected rank-1 matrix on a pattern.
-        u, v = self._uv(u, v)
-        return self._coef(2.0 * u[self.rows] * v[self.cols])
-
-    def m_matrix(self, v):
-        v = _as_vector(v, self.shape[1], "v")
-        out = np.zeros((self.shape[0], self.dim))
-        out[self.rows, np.arange(self.dim)] = v[self.cols]
-        return out
-
-    def n_matrix(self, u):
-        u = _as_vector(u, self.shape[0], "u")
-        out = np.zeros((self.shape[1], self.dim))
-        out[self.cols, np.arange(self.dim)] = u[self.rows]
-        return out
+        return BasisStructure([sp.csr_array(([1.0], ([int(i)], [int(j)])), shape=self.shape)
+                               for i, j in zip(self.rows, self.cols)])
 
 
 class FullStructure(SparsityPattern):
@@ -298,11 +301,11 @@ class FullStructure(SparsityPattern):
 class BasisStructure(LinearStructure):
     """Structure given by an explicit orthonormal basis of sparse matrices.
 
-    The basis is held as one sparse p x E matrix V whose row k is vec(B_k)
-    restricted to the E entries that some basis matrix touches, so memory
-    follows the basis, not m n. Orthonormality in the Frobenius inner
-    product is verified at construction on the entries of the Gram matrix
-    V V^T (tolerance 1e-12), and violations are rejected rather than
+    The basis is held as the sparse p x E coefficient matrix V whose row k
+    is vec(B_k) restricted to the E entries that some basis matrix touches,
+    so memory follows the basis, not m n. Orthonormality in the Frobenius
+    inner product is verified at construction on the entries of the Gram
+    matrix V V^T (tolerance 1e-12), and violations are rejected rather than
     repaired, since silently re-orthonormalizing would change the subspace
     the caller asked for. Basis elements may have overlapping supports;
     duplicate entries within one element are summed.
@@ -328,101 +331,29 @@ class BasisStructure(LinearStructure):
             idx.append(np.full(B.nnz, k))
             flat.append(np.ravel_multi_index((B.row, B.col), shape))
             vals.append(B.data.astype(float))
-        self.shape = (int(shape[0]), int(shape[1]))
-        self.dim = len(mats)
-        if self.dim > self.shape[0] * self.shape[1]:
+        if len(mats) > shape[0] * shape[1]:
             raise StructureError("more basis matrices than matrix entries")
-        # Compress the columns to the touched entries; CSR conversion sums
-        # duplicates and orders each row by entry, i.e. row-major per B_k.
+        # Compress the columns to the touched entries, which np.unique sorts
+        # into row-major order; CSR conversion sums duplicates.
         entries, col = np.unique(np.concatenate(flat), return_inverse=True)
         V = sp.csr_array((np.concatenate(vals), (np.concatenate(idx), col)),
-                         shape=(self.dim, entries.size))
-        D = sp.coo_array(sp.triu(V @ V.T - sp.eye_array(self.dim)))
+                         shape=(len(mats), entries.size))
+        D = sp.coo_array(sp.triu(V @ V.T - sp.eye_array(len(mats))))
         bad = np.flatnonzero(np.abs(D.data) > self.ORTHONORMALITY_TOL)
         if bad.size:
             t = bad[np.lexsort((D.col[bad], D.row[bad]))[0]]
             i, j = int(D.row[t]), int(D.col[t])
             g = D.data[t] + (i == j)
             raise StructureError(f"basis not orthonormal: <B{i}, B{j}> = {g:.3e}")
-        # COO view of V for vectorized operator application: entry t belongs
-        # to basis matrix _idx[t] at position (_rows[t], _cols[t]).
-        V = sp.coo_array(V)
-        self._idx = V.row.astype(np.intp)
-        self._rows, self._cols = np.unravel_index(entries[V.col], self.shape)
-        self._vals = V.data
+        super().__init__(shape, *np.unravel_index(entries, shape), V)
 
     def __repr__(self):
         return f"BasisStructure({self.shape[0]}x{self.shape[1]}, p={self.dim})"
 
     def coefficients(self, X):
         """Coordinates <B_i, X> of the projection of ``X`` in the basis."""
-        X = as_dense(X)
-        _check_real(X, "matrix")
-        self._check_matrix(X)
-        return np.bincount(
-            self._idx, weights=self._vals * X[self._rows, self._cols], minlength=self.dim
-        )
+        return self._coords(self._entry_values(X))
 
     def from_coefficients(self, c):
         """The member matrix sum_i c_i B_i, as CSR."""
-        c = _as_vector(c, self.dim, "coefficients")
-        return sp.csr_array(
-            (self._vals * c[self._idx], (self._rows, self._cols)), shape=self.shape
-        )
-
-    def project(self, X):
-        dense = not sp.issparse(X)
-        c = self.coefficients(X)
-        out = self.from_coefficients(c)
-        return as_dense(out) if dense else out
-
-    def project_rank1(self, u, v):
-        u, v = self._uv(u, v)
-        # <B_i, u v^T> = u^T B_i v, the i-th entry of M(v)^T u
-        return self.from_coefficients(self._mt(v, u))
-
-    def apply_m(self, v, x):
-        v = _as_vector(v, self.shape[1], "v")
-        x = _as_vector(x, self.dim, "x")
-        w = self._vals * x[self._idx] * v[self._cols]
-        return np.bincount(self._rows, weights=w, minlength=self.shape[0])
-
-    def _mt(self, v, y):
-        """``M(v)^T y`` for checked vectors, shared so no operator calls another public one."""
-        w = self._vals * v[self._cols] * y[self._rows]
-        return np.bincount(self._idx, weights=w, minlength=self.dim)
-
-    def apply_mt(self, v, y):
-        v = _as_vector(v, self.shape[1], "v")
-        y = _as_vector(y, self.shape[0], "y")
-        return self._mt(v, y)
-
-    def apply_n(self, u, x):
-        u = _as_vector(u, self.shape[0], "u")
-        x = _as_vector(x, self.dim, "x")
-        w = self._vals * x[self._idx] * u[self._rows]
-        return np.bincount(self._cols, weights=w, minlength=self.shape[1])
-
-    def apply_nt(self, u, y):
-        u = _as_vector(u, self.shape[0], "u")
-        y = _as_vector(y, self.shape[1], "y")
-        w = self._vals * u[self._rows] * y[self._cols]
-        return np.bincount(self._idx, weights=w, minlength=self.dim)
-
-    def m_matrix(self, v):
-        v = _as_vector(v, self.shape[1], "v")
-        out = np.zeros((self.shape[0], self.dim))
-        np.add.at(out, (self._rows, self._idx), self._vals * v[self._cols])
-        return out
-
-    def n_matrix(self, u):
-        u = _as_vector(u, self.shape[0], "u")
-        out = np.zeros((self.shape[1], self.dim))
-        np.add.at(out, (self._cols, self._idx), self._vals * u[self._rows])
-        return out
-
-    def h_offdiag(self, u, v):
-        u, v = self._uv(u, v)
-        Mm = self.m_matrix(v)
-        Nm = self.n_matrix(u)
-        return as_dense(self.from_coefficients(self._mt(v, u))) + Mm @ Nm.T
+        return self._member(self._values(_as_vector(c, self.dim, "coefficients")))

@@ -277,3 +277,34 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "singdist" in capsys.readouterr().out
+
+
+def test_certify_keeps_a_sparse_delta_sparse(tmp_path, monkeypatch):
+    # certify takes the norms of Delta and of its projection on the sparse
+    # matrices themselves; neither is densified to m n entries
+    import scipy.sparse as sp
+
+    from singdist import ProblemInstance, SparsityPattern, solve
+
+    rng = np.random.default_rng(40)
+    A = sp.csr_array(sp.random(40, 40, density=0.1, random_state=rng)) + sp.eye_array(40)
+    res = solve(ProblemInstance(A, SparsityPattern.from_matrix(A)))
+    assert res.converged and sp.issparse(res.delta)
+    mat, delta, v = tmp_path / "a.mtx", tmp_path / "delta.mtx", tmp_path / "v.mtx"
+    write_matrix(mat, A)
+    write_matrix(delta, res.delta)
+    write_vector(v, res.v)
+
+    def densify(self, *args, **kwargs):
+        raise AssertionError("a sparse matrix was densified")
+
+    monkeypatch.setattr(sp.csr_array, "todense", densify)
+    monkeypatch.setattr(sp.csr_array, "toarray", densify)
+    out = tmp_path / "report.json"
+    code = run(["certify", mat, delta, v, "--out", out])
+    rep = load_report(out)
+    # the verdict is the certificate's own: Delta lies in the structure
+    assert code == (0 if rep["passed"] else 2)
+    assert rep["passed"] is rep["certification"]["passed"]
+    assert rep["structure_residual"] <= 1e-14 * res.distance
+    assert abs(rep["certification"]["distance"] - res.distance) <= 1e-14 * res.distance

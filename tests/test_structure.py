@@ -11,7 +11,8 @@ from singdist import (
     SparsityPattern,
     StructureError,
 )
-from singdist.structure import as_dense
+from singdist.gcd import build_sylvester, make_test_polynomials
+from singdist.structure import LinearStructure, as_dense
 from conftest import random_orthonormal_basis, random_pattern
 
 
@@ -101,22 +102,82 @@ def test_apply_n_single_entry_by_hand():
     assert np.allclose(N, np.array([[0.0], [c]]), atol=1e-15)
 
 
-def test_apply_mn_match_dense_assembly():
-    rng = np.random.default_rng(5)
+def explicit_basis(S):
+    """The dense basis matrices B_k, built outside the structure's operators."""
+    if isinstance(S, BasisStructure):
+        return [as_dense(S.from_coefficients(e)) for e in np.eye(S.dim)]
+    m, n = S.shape
+    return [np.outer(np.eye(m)[i], np.eye(n)[j]) for i, j in S.entries()]
+
+
+def overlapping_basis(rng, m, n, dim, touched):
+    """Orthonormal basis whose elements all mix the same few entries."""
+    flat = rng.choice(m * n, size=touched, replace=False)
+    Q, _ = np.linalg.qr(rng.standard_normal((touched, dim)))
+    mats = []
+    for k in range(dim):
+        B = np.zeros(m * n)
+        B[flat] = Q[:, k]
+        mats.append(sp.csr_array(B.reshape(m, n)))
+    return BasisStructure(mats)
+
+
+def operator_cases(rng):
     for trial in range(8):
         m, n = rng.integers(2, 8, size=2)
-        S, _ = random_pattern(rng, m, n)
+        yield random_pattern(rng, m, n)[0]
+    yield random_orthonormal_basis(rng, 4, 4, 5)
+    yield random_orthonormal_basis(rng, 3, 6, 7)
+    yield random_orthonormal_basis(rng, 6, 2, 12)  # every entry
+    yield overlapping_basis(rng, 5, 7, 4, 9)
+    yield build_sylvester(make_test_polynomials(), 7).structure
+
+
+def test_apply_mn_match_dense_assembly():
+    # every operator against references built from the explicit B_k:
+    # M(v)[:, k] = B_k v, N(u)[:, k] = B_k^T u, Pi(X) = sum_k <B_k, X> B_k
+    rng = np.random.default_rng(5)
+    for S in operator_cases(rng):
+        m, n = S.shape
+        B = explicit_basis(S)
         u = rng.standard_normal(m)
         v = rng.standard_normal(n)
         x = rng.standard_normal(S.dim)
         y = rng.standard_normal(m)
         z = rng.standard_normal(n)
-        M = S.m_matrix(v)
-        N = S.n_matrix(u)
+        X = rng.standard_normal((m, n))
+        M = np.column_stack([Bk @ v for Bk in B])
+        N = np.column_stack([Bk.T @ u for Bk in B])
+        delta = sum(np.vdot(Bk, np.outer(u, v)) * Bk for Bk in B)
+        PX = sum(np.vdot(Bk, X) * Bk for Bk in B)
+        assert np.allclose(S.m_matrix(v), M, atol=1e-13)
+        assert np.allclose(S.n_matrix(u), N, atol=1e-13)
         assert np.allclose(S.apply_m(v, x), M @ x, atol=1e-13)
         assert np.allclose(S.apply_mt(v, y), M.T @ y, atol=1e-13)
         assert np.allclose(S.apply_n(u, x), N @ x, atol=1e-13)
         assert np.allclose(S.apply_nt(u, z), N.T @ z, atol=1e-13)
+        assert np.allclose(as_dense(S.project_rank1(u, v)), delta, atol=1e-13)
+        assert np.allclose(as_dense(S.h_offdiag(u, v)), delta + M @ N.T, atol=1e-12)
+        assert np.allclose(S.project(X), PX, atol=1e-13)
+        projected = S.project(sp.csr_array(X))
+        assert sp.issparse(projected) and np.allclose(as_dense(projected), PX, atol=1e-13)
+
+
+def test_each_operator_is_defined_once():
+    # every structure runs the one implementation on LinearStructure; only
+    # the full structure returns its rank-1 projection as a dense outer product
+    operators = {"project", "project_rank1", "apply_m", "apply_mt", "apply_n", "apply_nt",
+                 "gram_diagonals", "m_matrix", "n_matrix", "h_offdiag"}
+    assert operators <= set(vars(LinearStructure))
+    subclasses, todo = set(), list(LinearStructure.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        subclasses.add(cls)
+        todo += cls.__subclasses__()
+    assert {FullStructure, SparsityPattern, BasisStructure} <= subclasses
+    for cls in subclasses:
+        own = operators & set(vars(cls))
+        assert own == ({"project_rank1"} if cls is FullStructure else set()), cls.__name__
 
 
 def test_gram_diagonals_full_and_diag_pattern():
@@ -299,6 +360,18 @@ def test_basis_on_huge_shape_stays_small():
     assert np.isclose(got[(0, n - 1)], s * c[0], rtol=1e-15)
     assert np.isclose(got[(n - 1, 0)], s * c[0], rtol=1e-15)
     assert got[(n - 1, n - 1)] == c[1]
+    # a sparse X is projected through its values on the touched entries only
+    X = sp.coo_array(([1.0, 2.0, 4.0, 8.0], ([0, n - 1, n - 1, 5], [n - 1, 0, n - 1, 5])),
+                     shape=(n, n))
+    c = S.coefficients(X)
+    assert np.allclose(c, [s * 3.0, 4.0], rtol=1e-15)
+    P = S.project(X)
+    assert sp.issparse(P)
+    P = sp.coo_array(P)
+    got = {(int(i), int(j)): x for i, j, x in zip(P.row, P.col, P.data)}
+    assert got.keys() == {(0, n - 1), (n - 1, 0), (n - 1, n - 1)}
+    assert np.allclose([got[(0, n - 1)], got[(n - 1, 0)], got[(n - 1, n - 1)]],
+                       [1.5, 1.5, 4.0], rtol=1e-15)
 
 
 def test_basis_sums_duplicate_coordinates():

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from . import __version__, linalg, mmio
 from .errors import AllStartsFailed, InputError, SingdistError
-from .gcd import default_gcd_options, extract_cofactors, build_sylvester, gcd_distance, make_test_polynomials
+from .gcd import extract_cofactors, build_sylvester, gcd_distance, make_test_polynomials
 from .oracle import certify_solution
 from .solver import ProblemInstance, SolverOptions, solve
 from .structure import FullStructure, SparsityPattern
@@ -91,11 +91,9 @@ def _load_structure(args, A):
 
 def _solver_options(args) -> SolverOptions:
     return SolverOptions(
-        beta=args.beta,
         grad_tol=args.grad_tol,
         max_newton_iters=args.max_iters,
         multistart=args.multistart,
-        multistart_mode=args.multistart_mode,
     )
 
 
@@ -139,7 +137,6 @@ def cmd_solve(args) -> int:
         "structure_dim": structure.dim,
     }
     options = dataclasses.asdict(P.options)
-    options["beta_resolved"] = P.beta
     options["grad_tol_resolved"] = P.grad_tol
     try:
         result = solve(P)
@@ -167,7 +164,7 @@ def cmd_solve(args) -> int:
         print(str(cert))
     else:
         print(f"did not converge: {result.message}")
-        print(f"best ||G_beta|| = {result.grad_norm:.3e} after {result.iterations} iterations")
+        print(f"best ||G|| = {result.grad_norm:.3e} after {result.iterations} iterations")
     if args.write_delta:
         mmio.write_matrix(args.write_delta, result.delta)
         print(f"perturbation written to {args.write_delta}")
@@ -191,11 +188,7 @@ def cmd_gcd(args) -> int:
     else:
         pair = mmio.read_polynomial_pair(args.poly)
         source = args.poly
-    fields = {"multistart": args.multistart}
-    if args.max_iters is not None:
-        fields["max_newton_iters"] = args.max_iters
-    # replace() reruns SolverOptions validation on the command-line values
-    opts = dataclasses.replace(default_gcd_options(), **fields)
+    opts = SolverOptions(max_newton_iters=args.max_iters, multistart=args.multistart)
     input_desc = {"poly": source, "deg_p": pair.deg_p, "deg_q": pair.deg_q}
     degrees = _parse_sweep(args.sweep) if args.sweep else [args.d]
     rows = []
@@ -301,10 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="nearest structured singular matrix")
     ps.add_argument("matrix", help="square matrix in Matrix Market format")
     _add_structure_flags(ps)
-    ps.add_argument("--beta", type=float, default=None, help="penalty weight (default ||A||_F)")
     ps.add_argument("--multistart", type=int, default=1, metavar="K",
                     help="number of singular-triplet starts")
-    ps.add_argument("--multistart-mode", choices=("full", "cheap"), default="full")
     ps.add_argument("--grad-tol", type=float, default=None,
                     help="residual tolerance (default 1e-12 ||A||_F)")
     ps.add_argument("--max-iters", type=int, default=100, help="Newton iteration budget")
@@ -321,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     deg.add_argument("--d", type=int, help="GCD degree")
     deg.add_argument("--sweep", metavar="D1:D2", help="run a range of degrees")
     pg.add_argument("--multistart", type=int, default=1, metavar="K")
-    pg.add_argument("--max-iters", type=int, default=None, help="Newton iteration budget")
+    pg.add_argument("--max-iters", type=int, default=100, help="Newton iteration budget")
     pg.add_argument("--cofactors", action="store_true",
                     help="also extract g, u, w with p ~ g u and q ~ g w")
     pg.add_argument("--out", metavar="FILE", help="write the JSON report here")

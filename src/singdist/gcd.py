@@ -38,10 +38,6 @@ __all__ = [
 #: squared distances below this are at machine-precision scale and flagged
 RELIABILITY_FLOOR = 1e-15
 
-#: Newton budget for GCD solves; near-degenerate roots (small d) converge
-#: through a long damped crawl before the quadratic phase kicks in
-GCD_MAX_NEWTON_ITERS = 6000
-
 
 @dataclasses.dataclass
 class PolynomialPair:
@@ -161,10 +157,6 @@ class GcdResult:
     warning: str = ""
 
 
-def default_gcd_options() -> SolverOptions:
-    return SolverOptions(max_newton_iters=GCD_MAX_NEWTON_ITERS)
-
-
 def gcd_distance(pair: PolynomialPair, d: int, options: SolverOptions | None = None) -> GcdResult:
     """Smallest coefficient perturbation giving p, q a GCD of degree d.
 
@@ -174,8 +166,7 @@ def gcd_distance(pair: PolynomialPair, d: int, options: SolverOptions | None = N
     test; ``reliable`` is False whenever distance^2 < 1e-15.
     """
     inst = build_sylvester(pair, d)
-    opts = options if options is not None else default_gcd_options()
-    P = ProblemInstance(inst.matrix, inst.structure, opts)
+    P = ProblemInstance(inst.matrix, inst.structure, options)
     try:
         result = solve(P)
     except AllStartsFailed as exc:

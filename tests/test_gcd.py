@@ -159,3 +159,11 @@ def test_cofactor_reconstruction_d9():
     metric = np.hypot(np.linalg.norm(pair.p_coeffs - gu), np.linalg.norm(pair.q_coeffs - gw))
     assert abs(metric - res.distance) <= 1e-6
     assert max(np.linalg.norm(ext.u_cof), np.linalg.norm(ext.w_cof)) == pytest.approx(1.0)
+
+
+def test_gcd_distance_d6_converges_within_default_budget():
+    # the nearly degenerate d = 6 root needs no budget of its own
+    res = gcd_distance(make_test_polynomials(), 6)
+    assert res.converged
+    assert res.result.iterations <= SolverOptions().max_newton_iters
+    assert abs(res.distance - 1.829296e-7) <= 5e-2 * 1.829296e-7

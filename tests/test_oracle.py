@@ -173,9 +173,9 @@ def test_certification_rejects_dead_row_saddle():
     cert = certify_solution(P, res)
     assert not cert.passed  # ...but the oracle correctly is not
     assert cert.grad_norm > 1e-4
-    from singdist.solver import assemble_H_beta
+    from singdist.solver import assemble_H
 
-    eigs = np.linalg.eigvalsh(assemble_H_beta(P, res.u, res.v))
+    eigs = np.linalg.eigvalsh(assemble_H(P, res.u, res.v))
     assert eigs[0] < -1e-8  # a saddle, not a minimum
     k1, _ = S.gram_diagonals(np.zeros(30), res.v)
     assert k1.min() < 1e-12  # the dead rows that cause the failure

@@ -25,7 +25,7 @@ PUBLIC_NAMES = {
 
 #: every settable value of ``SolverOptions``; each changes the answer or is
 #: set by a benchmark workload, so a new knob is a reviewed edit
-SOLVER_OPTION_FIELDS = ("beta", "grad_tol", "max_newton_iters", "multistart", "multistart_mode")
+SOLVER_OPTION_FIELDS = ("grad_tol", "max_newton_iters", "multistart")
 
 #: modules looked up as attributes of the package (the benchmark's tracer does)
 MODULES = ("solver", "linalg", "oracle", "gcd", "mmio", "structure")

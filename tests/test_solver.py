@@ -21,8 +21,8 @@ from singdist import (
 )
 from singdist.solver import (
     SolverState,
-    apply_H_beta,
-    assemble_H_beta,
+    apply_H,
+    assemble_H,
     line_search_newton,
     newton_step,
     residual_G,
@@ -37,11 +37,10 @@ def full_instance(A, **kw):
     return ProblemInstance(A, FullStructure(A.shape), SolverOptions(**kw) if kw else None)
 
 
-def F_beta(P, u, v, beta):
-    # penalized objective whose gradient is residual_G_beta when A is in S
+def F(P, u, v):
+    # objective whose gradient is residual_G when A is in S
     delta = as_dense(P.structure.project_rank1(u, v))
-    pen = (v @ v - 1.0) ** 2
-    return 0.5 * np.linalg.norm(P.dense_A() + delta) ** 2 + 0.25 * beta * pen
+    return 0.5 * np.linalg.norm(P.dense_A() + delta) ** 2
 
 
 def test_residual_G_zero_u():
@@ -74,40 +73,40 @@ def test_residual_G_matches_dense_delta():
         assert np.allclose(g[7:], (A + D).T @ u, atol=1e-12)
 
 
-def test_residual_G_beta_penalty():
+def test_residual_G_beta_rescales_to_unit_v():
     rng = np.random.default_rng(22)
     A = np.diag([2.0, 5.0])
     P = full_instance(A)
     u = rng.standard_normal(2)
-    v = rng.standard_normal(2)
-    v /= np.linalg.norm(v)
-    # penalty vanishes on the unit sphere
-    assert np.allclose(residual_G_beta(P, u, v), residual_G(P, u, v), atol=1e-13)
-    # ||v||^2 - 1 = 3 for v = 2 e1, so the v-block gains beta * 3 * v
-    v2 = np.array([2.0, 0.0])
-    g = residual_G_beta(P, np.zeros(2), v2)
-    expected = np.concatenate([A @ v2, P.beta * 3.0 * v2])
-    assert np.allclose(g, expected, atol=1e-12)
+    v = np.array([2.0, 0.0])
+    # (u, v) -> (2 u, v / 2) keeps Delta and puts v on the unit sphere
+    ur, vr, g = residual_G_beta(P, u, v)
+    assert np.allclose(ur, 2.0 * u, atol=1e-15) and np.allclose(vr, [1.0, 0.0], atol=1e-15)
+    assert np.allclose(g, residual_G(P, 2.0 * u, v / 2.0), atol=1e-13)
+    assert np.allclose(as_dense(P.structure.project_rank1(ur, vr)),
+                       as_dense(P.structure.project_rank1(u, v)), atol=1e-13)
+    # a point with no unit representative has a NaN residual
+    for u_bad, v_bad in ((u, np.zeros(2)), (u, np.array([np.inf, 0.0])),
+                         (np.array([np.nan, 0.0]), v)):
+        assert np.isnan(residual_G_beta(P, u_bad, v_bad)[2]).all()
 
 
 def test_residual_G_beta_is_gradient_of_F_beta():
-    # central differences at h=1e-3, 1e-4 must show second-order error decay
+    # central differences at h=1e-3, 1e-4 must show second-order error decay.
+    # They are taken along a random orthonormal basis: along a coordinate
+    # axis F is quadratic, so they would be exact and show no order.
     rng = np.random.default_rng(23)
     A, S = pattern_instance(rng, n=6)
     P = ProblemInstance(A, S)
-    beta = P.beta
     u = rng.standard_normal(6)
     v = rng.standard_normal(6)
-    g = residual_G_beta(P, u, v)
+    g = residual_G(P, u, v)
+    W = np.linalg.qr(rng.standard_normal((12, 12)))[0]
     errs = []
     for h in (1e-3, 1e-4):
-        fd = np.empty(12)
-        for i in range(12):
-            e = np.zeros(12)
-            e[i] = h
-            fd[i] = (F_beta(P, u + e[:6], v + e[6:], beta)
-                     - F_beta(P, u - e[:6], v - e[6:], beta)) / (2 * h)
-        errs.append(np.max(np.abs(fd - g)))
+        fd = np.array([(F(P, u + h * w[:6], v + h * w[6:]) - F(P, u - h * w[:6], v - h * w[6:]))
+                       / (2 * h) for w in W.T])
+        errs.append(np.max(np.abs(fd - W.T @ g)))
     order = np.log10(errs[0] / errs[1])
     assert order >= 1.9, f"observed order {order}"
 
@@ -118,20 +117,20 @@ def test_apply_H_beta_linearity_and_fd():
     P = ProblemInstance(A, S)
     u = rng.standard_normal(6)
     v = rng.standard_normal(6)
-    assert np.allclose(apply_H_beta(P, u, v, np.zeros(6), np.zeros(6)), 0.0, atol=1e-15)
+    assert np.allclose(apply_H(P, u, v, np.zeros(6), np.zeros(6)), 0.0, atol=1e-15)
     w = rng.standard_normal(12)
-    Hw = apply_H_beta(P, u, v, w[:6], w[6:])
+    Hw = apply_H(P, u, v, w[:6], w[6:])
     errs = []
     for h in (1e-3, 1e-4):
-        fd = (residual_G_beta(P, u + h * w[:6], v + h * w[6:])
-              - residual_G_beta(P, u - h * w[:6], v - h * w[6:])) / (2 * h)
+        fd = (residual_G(P, u + h * w[:6], v + h * w[6:])
+              - residual_G(P, u - h * w[:6], v - h * w[6:])) / (2 * h)
         errs.append(np.linalg.norm(fd - Hw))
     order = np.log10(errs[0] / errs[1])
     assert order >= 1.9, f"observed order {order}"
 
 
 def test_apply_H_beta_known_matrix():
-    # at the solved point of diag(s1, s2) with beta=0 the curvature matrix is
+    # at the solved point of diag(s1, s2) the Jacobian of G is
     # [[1,0,s1,0],[0,1,0,-s2],[s1,0,s2^2,0],[0,-s2,0,s2^2]]
     s1, s2 = 3.0, 1.0
     P = full_instance(np.diag([s1, s2]))
@@ -146,9 +145,9 @@ def test_apply_H_beta_known_matrix():
     for i in range(4):
         e = np.zeros(4)
         e[i] = 1.0
-        col = apply_H_beta(P, u, v, e[:2], e[2:], beta=0.0)
+        col = apply_H(P, u, v, e[:2], e[2:])
         assert np.allclose(col, H_ref[:, i], atol=1e-13)
-    assert np.allclose(assemble_H_beta(P, u, v, beta=0.0), H_ref, atol=1e-13)
+    assert np.allclose(assemble_H(P, u, v), H_ref, atol=1e-13)
 
 
 def test_assembled_H_matches_operator_on_basis_structure():
@@ -158,10 +157,10 @@ def test_assembled_H_matches_operator_on_basis_structure():
     P = ProblemInstance(A, S)
     u = rng.standard_normal(5)
     v = rng.standard_normal(5)
-    H = assemble_H_beta(P, u, v)
+    H = assemble_H(P, u, v)
     for trial in range(5):
         w = rng.standard_normal(10)
-        assert np.allclose(H @ w, apply_H_beta(P, u, v, w[:5], w[5:]), atol=1e-11)
+        assert np.allclose(H @ w, apply_H(P, u, v, w[:5], w[5:]), atol=1e-11)
 
 
 def test_H_beta_symmetry():
@@ -174,8 +173,8 @@ def test_H_beta_symmetry():
         for trial in range(5):
             x = rng.standard_normal(16)
             y = rng.standard_normal(16)
-            hx = apply_H_beta(P, u, v, x[:8], x[8:])
-            hy = apply_H_beta(P, u, v, y[:8], y[8:])
+            hx = apply_H(P, u, v, x[:8], x[8:])
+            hy = apply_H(P, u, v, y[:8], y[8:])
             assert abs(hx @ y - x @ hy) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
@@ -198,7 +197,7 @@ def test_newton_quadratic_contraction():
         v = res.v + scale * rng.standard_normal(8)
         state = SolverState.at(P, u, v)
         du, dv, _ = newton_step(P, state)
-        g_next = residual_G_beta(P, u + du, v + dv)
+        g_next = residual_G_beta(P, state.u + du, state.v + dv)[2]
         assert np.linalg.norm(g_next) <= 50.0 * state.residual_norm ** 2 / P.norm_fro
 
 
@@ -226,9 +225,9 @@ def test_convergence_on_the_last_budgeted_step_counts():
     # the step that reaches grad_tol may be the last one the budget allows
     A, S = pattern_instance(np.random.default_rng(0), n=8)
     free = solve(ProblemInstance(A, S))
-    assert free.converged and free.iterations == 4
-    last = solve(ProblemInstance(A, S, SolverOptions(max_newton_iters=4)))
-    assert last.converged and last.iterations == 4
+    assert free.converged and free.iterations == 3
+    last = solve(ProblemInstance(A, S, SolverOptions(max_newton_iters=3)))
+    assert last.converged and last.iterations == 3
     assert last.distance == free.distance
 
 
@@ -302,15 +301,6 @@ def test_multistart_returns_minimum():
     assert abs(res.distance - min(conv)) <= 1e-14
 
 
-def test_cheap_mode_runs_single_start():
-    rng = np.random.default_rng(31)
-    A, S = pattern_instance(rng, n=10)
-    P = ProblemInstance(A, S, SolverOptions(multistart=3, multistart_mode="cheap"))
-    res = solve(P)
-    ran = [s for s in res.starts if s.iterations > 0 or s.converged]
-    assert len(ran) == 1
-
-
 def test_solve_degenerate_singular_input():
     A = np.diag([1.0, 0.0])
     res = solve(full_instance(A))
@@ -374,9 +364,9 @@ def test_krylov_path_matches_dense_path(monkeypatch):
 
 def test_krylov_newton_step_meets_inner_tol(monkeypatch):
     # the true relative residual of every inexact Newton step, measured
-    # against the assembled H_beta, is within the forcing term, also for
-    # the later steps of one state, which recycle the earlier steps' Krylov
-    # directions for a changed H_beta
+    # against the assembled bordered matrix [[H, c], [c^T, 0]], c = [0; v],
+    # is within the forcing term, also for the later steps of one state,
+    # which recycle the earlier steps' Krylov directions for a changed H
     A = sparse_instance(80, 40)
     rng = np.random.default_rng(41)
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
@@ -389,8 +379,11 @@ def test_krylov_newton_step_meets_inner_tol(monkeypatch):
             for step in range(4):
                 assert bool(state.recycle) == (step > 0)
                 du, dv, inner = newton_step(P, state)
-                H = assemble_H_beta(P, state.u, state.v)
-                true = np.linalg.norm(H @ np.concatenate([du, dv]) + state.residual)
+                K = np.zeros((161, 161))
+                K[:160, :160] = assemble_H(P, state.u, state.v)
+                K[80:160, 160] = K[160, 80:160] = state.v
+                assert np.array_equal(inner.x[:160], np.concatenate([du, dv]))
+                true = np.linalg.norm(K @ inner.x + np.append(state.residual, 0.0))
                 assert true <= inner_tol * state.residual_norm
                 assert abs(true / state.residual_norm - inner.residual) <= 1e-10
                 # backtrack to descent and accept, keeping the recycle list
@@ -420,17 +413,21 @@ def test_krylov_multistart_starts_are_independent(monkeypatch):
         assert [getattr(summary, f) for f in fields] == [getattr(alone, f) for f in fields]
 
 
-def test_krylov_path_converges_on_hard_small_input(monkeypatch):
-    # a small sparse input whose Newton run crawls for about 80 iterations:
-    # the Krylov path must reach the dense path's distance within the budget
+@pytest.mark.parametrize("recycle", [5, 10, 20])
+def test_krylov_path_converges_on_hard_small_input(monkeypatch, recycle):
+    # a small sparse input that penalty-damped Newton crawled on for about 80
+    # iterations: both paths must reach the same distance in a few steps,
+    # whatever the dimension of the recycled Krylov subspace
     A = sp.csr_array(sp.random(50, 50, density=0.1, random_state=1)
                      + sp.diags(0.5 + np.random.default_rng(1).random(50)))
     dense = solve(ProblemInstance(A))
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 0)
+    monkeypatch.setattr(linalg, "GCROT_RECYCLE", recycle)
     P = ProblemInstance(A)
     assert not P.use_dense_newton and P.factor is not None
     krylov = solve(P)
     assert dense.converged and krylov.converged
+    assert dense.iterations <= 10 and krylov.iterations <= 10
     assert abs(krylov.distance - dense.distance) <= 1e-9 * dense.distance
 
 
@@ -569,21 +566,19 @@ def test_certificate_failure_is_recorded(monkeypatch):
 
 def test_solver_options_validation():
     with pytest.raises(ValueError):
-        SolverOptions(beta=-1.0)
-    with pytest.raises(ValueError):
         SolverOptions(grad_tol=0.0)
     with pytest.raises(ValueError):
-        SolverOptions(multistart=0)
+        SolverOptions(max_newton_iters=0)
     with pytest.raises(ValueError):
-        SolverOptions(multistart_mode="sometimes")
+        SolverOptions(multistart=0)
 
 
 def test_problem_instance_resolves_options_and_checks_structure_shape():
-    # beta and grad_tol default to multiples of ||A||_F; set, they are used as given
+    # grad_tol defaults to a multiple of ||A||_F; set, it is used as given
     A = np.diag([3.0, 4.0])
     P = ProblemInstance(A)
-    assert P.beta == 5.0 and P.grad_tol == 5e-12
-    P = ProblemInstance(A, options=SolverOptions(beta=0.25, grad_tol=1e-9))
-    assert P.beta == 0.25 and P.grad_tol == 1e-9
+    assert P.grad_tol == 5e-12
+    P = ProblemInstance(A, options=SolverOptions(grad_tol=1e-9))
+    assert P.grad_tol == 1e-9
     with pytest.raises(DimensionMismatchError, match="structure shape"):
         ProblemInstance(A, FullStructure(2, 3))

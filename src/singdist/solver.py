@@ -74,7 +74,9 @@ MAX_BACKTRACKS = 40
 #: certificate; larger square ones are LU-factored once. It lies above the
 #: measured crossovers to the Krylov path (about m + n = 250 for sparse and
 #: 600 for dense input) so that small, hard problems keep the dense solve
-#: and its least-squares fallback.
+#: and its least-squares fallback. Those crossovers were measured when the
+#: gauge was a beta penalty and the triplets came from Lanczos on the
+#: augmented matrix [[0, A], [A^T, 0]]; both have since become cheaper.
 DENSE_THRESHOLD = 1000
 
 #: forcing term of the Krylov path: the true relative residual every inner
@@ -156,7 +158,7 @@ class ProblemInstance:
         Built on first use for a square A, dense or sparse, above
         ``DENSE_THRESHOLD`` unknowns (m + n); None at or below it, and when
         A is rectangular or exactly singular. Whether it exists picks the
-        route of the triplets (shift-and-invert Lanczos or a full SVD) and
+        route of the triplets (Lanczos on A^-1 A^-T or a full SVD) and
         of the Newton steps (see ``use_dense_newton``).
         """
         if self.m != self.n or self.m + self.n <= DENSE_THRESHOLD:

@@ -55,43 +55,118 @@ def test_triplet_residual_bounds_random():
         assert triplet_residuals(A, trips) <= 1e-10 * norm_a
 
 
-def test_sparse_triplets_agree_with_dense(monkeypatch):
-    # shift-and-invert through the LU of A, for sparse and dense A alike
+def count_svd_calls(monkeypatch):
+    """A list that grows by one at each ``scipy.linalg.svd`` call."""
+    calls = []
+    svd = scipy.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
+    return calls
+
+
+def lanczos_instance(n=60):
     rng = np.random.default_rng(13)
-    n = 60
     A = sp.random(n, n, density=0.1, random_state=np.random.RandomState(13),
                   format="csr") + sp.diags(1.0 + rng.random(n))
-    A = sp.csr_array(A)
-    s_ref = np.linalg.svd(A.toarray(), compute_uv=False)
-    for M in (A.toarray(), A):
-        factor = factorize(M)
-        trips = _lanczos_triplets(M, 2, factor)
-        assert abs(trips[0][0] - s_ref[-1]) <= 1e-9 * s_ref[0]
-        assert abs(trips[1][0] - s_ref[-2]) <= 1e-9 * s_ref[0]
-        assert triplet_residuals(A, trips) <= 1e-10 * s_ref[0]
+    return sp.csr_array(A)
+
+
+def ill_conditioned_instance(n=60):
+    # singular values geomspace(1, 1e-8): recovering u as A v / sigma would
+    # leave a triplet residual near 1e-8, far above the bound
+    rng = np.random.default_rng(16)
+    Q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q1 @ np.diag(np.geomspace(1.0, 1e-8, n)) @ Q2.T
+
+
+@pytest.mark.parametrize("K", [1, 2, 4])
+def test_sparse_triplets_agree_with_dense(monkeypatch, K):
+    # Lanczos on A^-1 A^-T through the LU of A, for sparse and dense A alike
+    A = lanczos_instance()
+    for B in (A, ill_conditioned_instance()):
+        dense = B.toarray() if sp.issparse(B) else B
+        s_ref = np.linalg.svd(dense, compute_uv=False)
+        for M in (B, dense) if sp.issparse(B) else (B,):
+            trips = _lanczos_triplets(M, K, factorize(M))
+            assert len(trips) == K
+            for j, (sigma, _u, _v) in enumerate(trips):
+                assert abs(sigma - s_ref[-1 - j]) <= 1e-9 * s_ref[0]
+            assert triplet_residuals(B, trips) <= 1e-10 * s_ref[0]
     # the public entry point takes the Lanczos route when handed the LU and
     # the full SVD otherwise: the route is the caller's, so linalg holds no
     # threshold and factors nothing itself
     assert not hasattr(linalg, "DENSE_THRESHOLD")
-    svd_calls = []
-    svd = scipy.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        svd_calls.append(1)
-        return svd(*args, **kwargs)
+    s_ref = np.linalg.svd(A.toarray(), compute_uv=False)
+    factor = factorize(A)
 
     def no_factorize(A):
         raise AssertionError("smallest_singular_triplets factored A")
 
     monkeypatch.setattr(linalg, "factorize", no_factorize)
-    monkeypatch.setattr(scipy.linalg, "svd", counting_svd)
+    svd_calls = count_svd_calls(monkeypatch)
     for shared, dense_svds in ((factor, 0), (None, 1)):
         svd_calls.clear()
-        trips, norm_a = smallest_singular_triplets(A, 2, factor=shared)
+        trips, norm_a = smallest_singular_triplets(A, K, factor=shared)
         assert len(svd_calls) == dense_svds
-        assert abs(trips[0][0] - s_ref[-1]) <= 1e-9 * s_ref[0]
-        assert abs(trips[1][0] - s_ref[-2]) <= 1e-9 * s_ref[0]
+        for j, (sigma, _u, _v) in enumerate(trips):
+            assert abs(sigma - s_ref[-1 - j]) <= 1e-9 * s_ref[0]
         assert abs(norm_a - s_ref[0]) <= 1e-8 * s_ref[0]
+
+
+def test_lanczos_triplets_take_few_lu_solves(monkeypatch):
+    # Lanczos on the order-n A^-1 A^-T finds each sigma once; on the
+    # augmented matrix of order 2n the same triplet took 74 solves
+    A = lanczos_instance()
+    factor = factorize(A)
+    calls = []
+    solve = linalg.LUFactor.solve
+
+    def counting_solve(self, b, trans=False):
+        calls.append(trans)
+        return solve(self, b, trans)
+
+    monkeypatch.setattr(linalg.LUFactor, "solve", counting_solve)
+    smallest_singular_triplets(A, 1, factor=factor)
+    assert 0 < len(calls) <= 40
+
+
+@pytest.mark.parametrize("below_n", [1, 0])
+def test_lanczos_cannot_return_nearly_all_pairs(monkeypatch, below_n):
+    # Lanczos on the order-n operator takes k <= n - 2 (eigsh raises a
+    # TypeError for k >= n); for more pairs the dense SVD answers
+    A = lanczos_instance(8)
+    n = A.shape[0]
+    k = n - below_n
+    factor = factorize(A)
+    with pytest.raises(TripletError, match="k <= n - 2"):
+        _lanczos_triplets(A, k, factor)
+    svd_calls = count_svd_calls(monkeypatch)
+    trips, norm_a = smallest_singular_triplets(A, k, factor=factor)
+    s_ref = np.linalg.svd(A.toarray(), compute_uv=False)
+    assert len(svd_calls) == 1 and len(trips) == k
+    assert np.allclose([t[0] for t in trips], s_ref[::-1][:k], rtol=0, atol=1e-12 * s_ref[0])
+    assert abs(norm_a - s_ref[0]) <= 1e-12 * s_ref[0]
+
+
+def test_lanczos_failure_falls_back_to_dense_svd(monkeypatch):
+    A = lanczos_instance()
+    expected, expected_norm = linalg._dense_triplets(A, 2)
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0),
+                                       np.empty((A.shape[0], 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    trips, norm_a = smallest_singular_triplets(A, 2, factor=factorize(A))
+    assert norm_a == expected_norm
+    for (sigma, u, v), (sigma_ref, u_ref, v_ref) in zip(trips, expected, strict=True):
+        assert sigma == sigma_ref
+        assert np.array_equal(u, u_ref) and np.array_equal(v, v_ref)
 
 
 def test_dense_svd_of_large_sparse_input_raises(monkeypatch):

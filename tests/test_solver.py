@@ -461,7 +461,7 @@ def test_singular_sparse_input_above_threshold_short_circuits(monkeypatch):
 
 def test_dense_input_above_threshold_reuses_its_lu(monkeypatch):
     # dense A takes the routes of sparse A: its one LU gives the triplets by
-    # shift-and-invert and preconditions the Newton steps, and the
+    # Lanczos on A^-1 A^-T and preconditions the Newton steps, and the
     # certificate needs no SVD of A + Delta
     A = sparse_instance(40, 46).toarray()
     reference = solve(ProblemInstance(A))

@@ -19,8 +19,7 @@ backends stay swappable:
 * ``solve_symmetric_iterative``: right-preconditioned flexible GCROT(m, k)
   for symmetric (possibly indefinite) operators. It stops on the true
   relative residual and returns it, so callers can treat inexact solutions
-  as search directions, and it can carry a recycled subspace from one
-  system to the next of a slowly varying sequence (the Newton steps).
+  as search directions.
 """
 
 from __future__ import annotations
@@ -57,12 +56,13 @@ __all__ = [
 DENSE_FALLBACK_MAX_N = 4000
 
 #: inner FGMRES cycle length m of GCROT(m, k); the preconditioned Newton
-#: systems converge within one cycle. A solve that starts with nothing to
-#: recycle runs a first cycle of GCROT_CYCLE + GCROT_RECYCLE directions.
+#: systems converge within one cycle. Every solve starts from x0 = 0 with
+#: no carried pairs, so its first cycle has GCROT_CYCLE + GCROT_RECYCLE
+#: directions.
 GCROT_CYCLE = 50
 
 #: recycled dimension k of GCROT(m, k): the most (c, u) pairs carried from one
-#: cycle to the next, and (with the solution) from one system to the next
+#: cycle to the next
 GCROT_RECYCLE = 10
 
 #: relative singular-value cutoff below which solve_dense switches to
@@ -322,7 +322,7 @@ def _as_operator(op, n):
     raise StructureError(f"unsupported operator type {type(op)!r}")
 
 
-def solve_symmetric_iterative(op, b, tol=1e-10, max_iter=None, precond=None, recycle=None):
+def solve_symmetric_iterative(op, b, tol=1e-10, max_iter=None, precond=None):
     """GCROT(m, k) on a symmetric (possibly indefinite) system, optionally preconditioned.
 
     ``op`` may be a matrix, a ``LinearOperator``, or a matvec callable; the
@@ -334,13 +334,6 @@ def solve_symmetric_iterative(op, b, tol=1e-10, max_iter=None, precond=None, rec
     the order of the system), rounded up to whole ``GCROT_CYCLE`` cycles.
     Each direction costs one application of ``precond`` (of the identity
     when there is none) and one of ``op``; ``iterations`` counts them.
-
-    ``recycle`` is an optional list of ``(c, u)`` pairs, updated in place,
-    that carries a subspace of dimension at most ``GCROT_RECYCLE`` + 1 (the
-    last solution included) into the next call. On entry every ``c`` is
-    recomputed as ``op u`` for the operator at hand, so a list recycled
-    across changing operators still meets ``tol`` on the true residual; that
-    costs one ``op`` application per pair and no ``precond`` application.
 
     Returns the iterate with that achieved residual; an unconverged solve is
     not an error, since an inexact step is still a usable search direction.
@@ -363,7 +356,6 @@ def solve_symmetric_iterative(op, b, tol=1e-10, max_iter=None, precond=None, rec
 
     x, _info = spla.gcrotmk(
         linop, b, rtol=tol, maxiter=-(-max_iter // GCROT_CYCLE), m=GCROT_CYCLE,
-        k=GCROT_RECYCLE, M=spla.LinearOperator((n, n), matvec=counted_precond, dtype=float),
-        CU=recycle, discard_C=True)
+        k=GCROT_RECYCLE, M=spla.LinearOperator((n, n), matvec=counted_precond, dtype=float))
     res = float(np.linalg.norm(b - linop.matvec(x)) / bnorm)
     return IterativeSolve(x=x, residual=res, iterations=count, converged=res <= tol)

@@ -18,6 +18,7 @@ structure operators themselves.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import scipy.linalg
@@ -58,14 +59,14 @@ class OracleEval:
 def evaluate(P: ProblemInstance, v, eps: float) -> OracleEval:
     """Evaluate f_eps, the optimal structured Delta, and the gradient at v.
 
-    Requires ||v|| = 1 (tolerance 1e-10) and eps > 0. Structures with
+    Requires ||v|| = 1 (tolerance 1e-10) and a finite eps > 0. Structures with
     ``diagonal_gram`` (every sparsity pattern, the full one included) have
     diagonal M M^T and are solved entrywise; a general basis assembles M
     densely and solves the regularized m x m Gram system (basis structures
     are small by construction).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     v = np.asarray(v, dtype=float)
     if v.shape != (P.n,):
         raise StructureError(f"v must have length {P.n}")
@@ -127,8 +128,12 @@ def certify_solution(P: ProblemInstance, result, eps: float | None = None,
     ``|f_eps - distance^2| <= tol_cert (1 + distance^2)``. Report-only: a
     failed certificate is returned, not raised. ``rank_drop`` flags
     min diag(M M^T) < eps, where the unregularized objective has a removable
-    discontinuity and the gradient test loses meaning.
+    discontinuity and the gradient test loses meaning. ``eps`` and
+    ``tol_cert`` must be positive and finite: an infinite eps zeroes u and
+    so the gradient, and an infinite tolerance passes anything.
     """
+    if not 0 < tol_cert < math.inf:
+        raise ValueError("tol_cert must be positive and finite")
     if eps is None:
         eps = DEFAULT_EPS_REL * max(P.norm_fro, 1e-300) ** 2
     v = np.asarray(result.v, dtype=float)

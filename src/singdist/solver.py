@@ -72,11 +72,12 @@ MAX_BACKTRACKS = 40
 #: problems with at most this many total unknowns (m + n), dense or sparse,
 #: assemble H densely and take the full SVD for their triplets and
 #: certificate; larger square ones are LU-factored once. It lies above the
-#: measured crossovers to the Krylov path (about m + n = 250 for sparse and
-#: 600 for dense input) so that small, hard problems keep the dense solve
-#: and its least-squares fallback. Those crossovers were measured when the
-#: gauge was a beta penalty and the triplets came from Lanczos on the
-#: augmented matrix [[0, A], [A^T, 0]]; both have since become cheaper.
+#: measured crossovers to the Krylov path so that small, hard problems keep
+#: the dense solve and its least-squares fallback: a whole solve on the
+#: Krylov path overtakes the dense one from about m + n = 250 for sparse
+#: input (random with 5 entries per row, or 7-diagonal banded) and about
+#: 400 for dense input with a 40% pattern, still mixed up to 600 (bordered
+#: Newton, one GCROT solve from zero per step, 2 BLAS threads).
 DENSE_THRESHOLD = 1000
 
 #: forcing term of the Krylov path: the true relative residual every inner
@@ -89,8 +90,9 @@ class SolverOptions:
     """Tuning knobs for the Newton solve.
 
     ``grad_tol`` defaults to ``None``, meaning 1e-12 ||A||_F, resolved per
-    instance. Which path a solve takes is decided by size, not by an option:
-    see ``ProblemInstance.use_dense_newton`` and ``DENSE_THRESHOLD``.
+    instance; a given value must be positive and finite. Which path a solve
+    takes is decided by size, not by an option: see
+    ``ProblemInstance.use_dense_newton`` and ``DENSE_THRESHOLD``.
     The Krylov forcing term is the constant ``INNER_TOL``.
     """
 
@@ -99,8 +101,8 @@ class SolverOptions:
     multistart: int = 1
 
     def __post_init__(self):
-        if self.grad_tol is not None and self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if self.grad_tol is not None and not 0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
         if self.max_newton_iters < 1:
             raise ValueError("iteration budgets must be positive")
         if self.multistart < 1:
@@ -253,18 +255,12 @@ def assemble_H(P: ProblemInstance, u, v):
 
 @dataclasses.dataclass
 class SolverState:
-    """One Newton iterate, with ||v|| = 1, and its cached residual.
-
-    ``recycle`` holds the Krylov directions the Krylov-path Newton steps
-    pass from one step to the next (see ``linalg.solve_symmetric_iterative``);
-    a fresh state starts with none.
-    """
+    """One Newton iterate, with ||v|| = 1, and its cached residual."""
 
     u: np.ndarray
     v: np.ndarray
     residual: np.ndarray
     residual_norm: float
-    recycle: list = dataclasses.field(default_factory=list, repr=False)
 
     @classmethod
     def at(cls, P: ProblemInstance, u, v):
@@ -285,11 +281,11 @@ def newton_step(P: ProblemInstance, state: SolverState):
     residual of at most ``INNER_TOL``, right-preconditioned by
     blockdiag(aug^-1, 1), where aug^-1 inverts [[0, A], [A^T, 0]] (H's
     leading part while u and Delta are small) from the instance's LU of A,
-    and recycling the Krylov directions of the earlier steps on
-    ``state.recycle``; an A without LU gets here only above
+    starting from zero; an A without LU gets here only above
     ``linalg.DENSE_FALLBACK_MAX_N`` unknowns and runs unpreconditioned.
     ``inner`` is the ``linalg.IterativeSolve`` with its iterations,
-    achieved residual and convergence.
+    achieved residual and convergence. The step depends on P and the state
+    alone.
     """
     m, N = P.m, P.m + P.n
     u, v = state.u, state.v
@@ -313,8 +309,7 @@ def newton_step(P: ProblemInstance, state: SolverState):
         def precond(x):
             return np.append(aug_inverse.matvec(x[:N]), x[N])
 
-    it = linalg.solve_symmetric_iterative(bordered, rhs, tol=INNER_TOL, precond=precond,
-                                          recycle=state.recycle)
+    it = linalg.solve_symmetric_iterative(bordered, rhs, tol=INNER_TOL, precond=precond)
     return it.x[:m], it.x[m:N], it
 
 
@@ -448,9 +443,7 @@ def line_search_newton(P: ProblemInstance, start_u, start_v, start_index: int = 
                 f"no descent within {MAX_BACKTRACKS} backtracks at iteration {it}",
                 trace, start_index, t0,
             )
-        state.u, state.v = u_try, v_try
-        state.residual = g_try
-        state.residual_norm = gn_try
+        state = SolverState(u_try, v_try, g_try, gn_try)
         trace.append(IterationRecord(it, gn_try, alpha, bt,
                                      inner.iterations if inner else 0,
                                      inner.converged if inner else True,

@@ -93,11 +93,16 @@ def test_solve_reports_certificate_failure(tmp_path, capsys, monkeypatch):
     assert "sigma(A+Delta) not computed: LinAlgError" in capsys.readouterr().out
 
 
-def test_solve_input_errors(tmp_path):
+def test_solve_input_errors(tmp_path, capsys):
     assert run(["solve", tmp_path / "missing.mtx"]) == 1
     rect = tmp_path / "rect.mtx"
     write_matrix(rect, np.ones((2, 3)))
     assert run(["solve", rect]) == 1
+    mat = write_diag(tmp_path)
+    capsys.readouterr()
+    for grad_tol in ("inf", "nan"):
+        assert run(["solve", mat, "--grad-tol", grad_tol]) == 1
+        assert capsys.readouterr().err == "error: grad_tol must be positive and finite\n"
 
 
 def test_solve_singular_input_reports_zero(tmp_path):
@@ -270,6 +275,17 @@ def test_certify_input_errors(tmp_path, capsys):
     write_vector(v, np.array([0.0, 1.0, 0.0]))
     assert run(["certify", mat, delta, v, "--full"]) == 1
     assert capsys.readouterr().err == "error: v has length 3, expected 2\n"
+    # a wrong kernel vector: A = diag(1, 1e-4), v = e1 and distance 1e-4
+    # FAILs at the default eps, and an infinite eps or tolerance is refused
+    write_matrix(mat, np.diag([1.0, 1e-4]))
+    write_matrix(delta, np.diag([0.0, -1e-4]))
+    write_vector(v, np.array([1.0, 0.0]))
+    assert run(["certify", mat, delta, v, "--full"]) == 2
+    capsys.readouterr()
+    for flag, name in (("--eps", "eps"), ("--tol", "tol_cert")):
+        for value in ("inf", "nan"):
+            assert run(["certify", mat, delta, v, "--full", flag, value]) == 1
+            assert capsys.readouterr().err == f"error: {name} must be positive and finite\n"
 
 
 def test_version_flag(capsys):

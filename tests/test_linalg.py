@@ -280,7 +280,8 @@ def test_iterative_reports_achieved_residual():
 def test_iterative_preconditioned_reaches_true_residual():
     # a symmetric indefinite system with a nearby symmetric indefinite
     # preconditioner (which MINRES could not use): GCROT must meet the
-    # requested true relative residual in few iterations
+    # requested true relative residual in few iterations, and
+    # ``iterations`` counts exactly the preconditioner applications
     rng = np.random.default_rng(20)
     n = 80
     B = rng.standard_normal((n, n))
@@ -288,27 +289,6 @@ def test_iterative_preconditioned_reaches_true_residual():
     E = 1e-2 * rng.standard_normal((n, n))
     Minv = np.linalg.inv(M + (E + E.T) / 2)
     b = rng.standard_normal(n)
-    for tol in (1e-2, 1e-8):
-        out = solve_symmetric_iterative(lambda x: M @ x, b, tol=tol, precond=Minv)
-        true = np.linalg.norm(M @ out.x - b) / np.linalg.norm(b)
-        assert out.converged and true <= tol
-        assert abs(true - out.residual) <= 1e-12
-        assert out.iterations <= 10
-
-
-def test_iterative_recycles_across_changing_operators():
-    # a slowly varying sequence of systems: the recycled subspace, rebuilt
-    # for each new operator, cuts the preconditioner applications while
-    # every solve still meets the true residual; ``iterations`` counts
-    # exactly the preconditioner applications
-    rng = np.random.default_rng(21)
-    n = 80
-    B = rng.standard_normal((n, n))
-    M = (B + B.T) / 2
-    E = rng.standard_normal((n, n))
-    E = (E + E.T) / 2
-    Minv = np.linalg.inv(M + 1e-2 * E)
-    b, db = rng.standard_normal(n), rng.standard_normal(n)
     calls = [0]
 
     def precond(x):
@@ -316,22 +296,14 @@ def test_iterative_recycles_across_changing_operators():
         return Minv @ x
 
     P = spla.LinearOperator((n, n), matvec=precond)
-    for tol in (1e-2, 1e-6):
-        totals = []
-        for recycle in (None, []):
-            total = 0
-            for j in range(6):
-                Mj, bj = M + 1e-3 * j * E, b + 1e-2 * j * db
-                calls[0] = 0
-                out = solve_symmetric_iterative(lambda x: Mj @ x, bj, tol=tol, precond=P,
-                                                recycle=recycle)
-                true = np.linalg.norm(Mj @ out.x - bj) / np.linalg.norm(bj)
-                assert out.converged and true <= tol
-                assert abs(true - out.residual) <= 1e-12
-                assert out.iterations == calls[0]
-                total += out.iterations
-            totals.append(total)
-        assert recycle and totals[1] < totals[0]
+    for tol in (1e-2, 1e-8):
+        calls[0] = 0
+        out = solve_symmetric_iterative(lambda x: M @ x, b, tol=tol, precond=P)
+        true = np.linalg.norm(M @ out.x - b) / np.linalg.norm(b)
+        assert out.converged and true <= tol
+        assert abs(true - out.residual) <= 1e-12
+        assert out.iterations == calls[0]
+        assert out.iterations <= 10
 
 
 def test_validate_rejects_bad_input():

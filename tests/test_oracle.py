@@ -1,5 +1,7 @@
 """Variable-projection oracle: closed forms, brute-force agreement, certification."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -109,8 +111,25 @@ def test_evaluate_rejects_bad_arguments():
     P = ProblemInstance(A, FullStructure(A.shape))
     with pytest.raises(Exception):
         evaluate(P, np.array([2.0, 0, 0]), 1e-8)  # not unit norm
-    with pytest.raises(Exception):
-        evaluate(P, np.array([1.0, 0, 0]), 0.0)  # eps must be positive
+    for eps in (0.0, np.inf, np.nan):  # eps must be positive and finite
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            evaluate(P, np.array([1.0, 0, 0]), eps)
+
+
+def test_certify_rejects_non_finite_eps_and_tolerance():
+    # v = e1 is not a kernel vector of A + Delta for the claimed distance
+    # 1e-4: the certificate FAILs, and an infinite eps (u = 0, so grad = 0)
+    # or an infinite tolerance must not turn that into a PASS
+    A = np.diag([1.0, 1e-4])
+    P = ProblemInstance(A, FullStructure(A.shape))
+    wrong = types.SimpleNamespace(v=np.array([1.0, 0.0]), distance=1e-4)
+    assert not certify_solution(P, wrong).passed
+    for eps in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            certify_solution(P, wrong, eps=eps)
+    for tol_cert in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="tol_cert must be positive and finite"):
+            certify_solution(P, wrong, tol_cert=tol_cert)
 
 
 def test_certify_solver_output():
@@ -130,8 +149,6 @@ def test_certify_negative_control_perturbed_v():
     res = solve(P)
     bad_v = res.v + 1e-2 * rng.standard_normal(9)
     bad_v /= np.linalg.norm(bad_v)
-    import types
-
     shim = types.SimpleNamespace(v=bad_v, distance=res.distance)
     cert = certify_solution(P, shim)
     assert not cert.passed

@@ -1,5 +1,6 @@
 """Newton solver: residuals, curvature operator, line search, multistart."""
 
+import math
 import warnings
 
 import numpy as np
@@ -365,8 +366,7 @@ def test_krylov_path_matches_dense_path(monkeypatch):
 def test_krylov_newton_step_meets_inner_tol(monkeypatch):
     # the true relative residual of every inexact Newton step, measured
     # against the assembled bordered matrix [[H, c], [c^T, 0]], c = [0; v],
-    # is within the forcing term, also for the later steps of one state,
-    # which recycle the earlier steps' Krylov directions for a changed H
+    # is within the forcing term, along several accepted steps of one run
     A = sparse_instance(80, 40)
     rng = np.random.default_rng(41)
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
@@ -377,7 +377,6 @@ def test_krylov_newton_step_meets_inner_tol(monkeypatch):
         for scale in (0.0, 0.1):
             state = SolverState.at(P, start.u0 + scale * rng.standard_normal(80), start.v0)
             for step in range(4):
-                assert bool(state.recycle) == (step > 0)
                 du, dv, inner = newton_step(P, state)
                 K = np.zeros((161, 161))
                 K[:160, :160] = assemble_H(P, state.u, state.v)
@@ -386,18 +385,34 @@ def test_krylov_newton_step_meets_inner_tol(monkeypatch):
                 true = np.linalg.norm(K @ inner.x + np.append(state.residual, 0.0))
                 assert true <= inner_tol * state.residual_norm
                 assert abs(true / state.residual_norm - inner.residual) <= 1e-10
-                # backtrack to descent and accept, keeping the recycle list
+                # backtrack to descent and accept
                 alpha = 1.0
                 nxt = SolverState.at(P, state.u + du, state.v + dv)
                 while nxt.residual_norm >= state.residual_norm:
                     alpha *= 0.5
                     nxt = SolverState.at(P, state.u + alpha * du, state.v + alpha * dv)
-                nxt.recycle, state = state.recycle, nxt
+                state = nxt
+
+
+def test_krylov_newton_step_is_a_function_of_the_state(monkeypatch):
+    # every Krylov step is one GCROT solve from zero: the same state gives
+    # bit-identical steps, with nothing carried over from an earlier call
+    A = sparse_instance(80, 40)
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
+    P = ProblemInstance(A)
+    assert not P.use_dense_newton
+    start = starting_values(P, 1)[0]
+    state = SolverState.at(P, start.u0, start.v0)
+    du1, dv1, inner1 = newton_step(P, state)
+    du2, dv2, inner2 = newton_step(P, state)
+    assert inner1.iterations > 0
+    assert np.array_equal(du1, du2) and np.array_equal(dv1, dv2)
+    assert inner1.iterations == inner2.iterations
 
 
 def test_krylov_multistart_starts_are_independent(monkeypatch):
-    # each start recycles Krylov directions only across its own steps: its
-    # summary under multistart equals that of running the start alone
+    # each start runs its own Newton iteration: its summary under multistart
+    # equals that of running the start alone
     A = sparse_instance(80, 40)
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
     P = ProblemInstance(A, options=SolverOptions(multistart=3))
@@ -413,21 +428,21 @@ def test_krylov_multistart_starts_are_independent(monkeypatch):
         assert [getattr(summary, f) for f in fields] == [getattr(alone, f) for f in fields]
 
 
-@pytest.mark.parametrize("recycle", [5, 10, 20])
-def test_krylov_path_converges_on_hard_small_input(monkeypatch, recycle):
+def test_krylov_path_converges_on_hard_small_input(monkeypatch):
     # a small sparse input that penalty-damped Newton crawled on for about 80
-    # iterations: both paths must reach the same distance in a few steps,
-    # whatever the dimension of the recycled Krylov subspace
+    # iterations: both paths must reach the same distance in a few steps.
+    # Every step converges within GCROT's first cycle, so the number of
+    # pairs it carries between cycles (GCROT_RECYCLE) plays no part here
     A = sp.csr_array(sp.random(50, 50, density=0.1, random_state=1)
                      + sp.diags(0.5 + np.random.default_rng(1).random(50)))
     dense = solve(ProblemInstance(A))
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 0)
-    monkeypatch.setattr(linalg, "GCROT_RECYCLE", recycle)
     P = ProblemInstance(A)
     assert not P.use_dense_newton and P.factor is not None
     krylov = solve(P)
     assert dense.converged and krylov.converged
     assert dense.iterations <= 10 and krylov.iterations <= 10
+    assert max(r.inner_iterations for r in krylov.trace) < linalg.GCROT_CYCLE
     assert abs(krylov.distance - dense.distance) <= 1e-9 * dense.distance
 
 
@@ -565,8 +580,11 @@ def test_certificate_failure_is_recorded(monkeypatch):
 
 
 def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(grad_tol=0.0)
+    # an infinite grad_tol "converges" at iteration 0 on a non-root and a
+    # NaN one never converges: only a positive finite value is accepted
+    for grad_tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
+            SolverOptions(grad_tol=grad_tol)
     with pytest.raises(ValueError):
         SolverOptions(max_newton_iters=0)
     with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ Reports are JSON with ``schema: 1``, sorted keys, and every float rendered
 with 17 significant digits, so identical inputs and flags produce identical
 files (the ``wall_time_s`` field is the one deliberately volatile value).
 Exit codes: 0 success/convergence, 1 input error, 2 non-convergence or a
-failed certificate.
+failed certificate of ``singdist certify``. A converged ``singdist solve``
+exits 0 even when its certificate FAILs; the verdict is in the report.
 """
 
 from __future__ import annotations
@@ -242,6 +243,9 @@ def cmd_certify(args) -> int:
         raise InputError(f"delta shape {delta.shape} does not match matrix shape {A.shape}")
     if v.size != A.shape[1]:
         raise InputError(f"v has length {v.size}, expected {A.shape[1]}")
+    for name, X in (("delta", delta), ("v", v)):
+        if not np.isfinite(X.data if sp.issparse(X) else X).all():
+            raise InputError(f"{name} contains non-finite entries")
     structure, structure_desc = _load_structure(args, A)
     P = ProblemInstance(A, structure)
     proj_residual = linalg.frobenius_norm(structure.project(delta) - delta)
@@ -324,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("v", help="kernel vector as an n-by-1 Matrix Market array")
     _add_structure_flags(pc)
     pc.add_argument("--eps", type=float, default=None,
-                    help="oracle regularization (default 1e-10 ||A||_F^2)")
+                    help="oracle regularization (default 1e-14 ||A||_F^2)")
     pc.add_argument("--tol", type=float, default=1e-6, help="certification tolerance")
     pc.add_argument("--out", metavar="FILE", help="write the JSON report here")
     pc.set_defaults(func=cmd_certify)

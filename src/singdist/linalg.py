@@ -17,9 +17,11 @@ backends stay swappable:
   minimum-norm least-squares solution when the matrix is numerically
   singular.
 * ``solve_symmetric_iterative``: right-preconditioned flexible GCROT(m, k)
-  for symmetric (possibly indefinite) operators. It stops on the true
-  relative residual and returns it, so callers can treat inexact solutions
-  as search directions.
+  for a symmetric (possibly indefinite) operator and its preconditioner,
+  both given as matvec callables, with a budget of as many Krylov
+  directions as the order of the system. It stops on the true relative
+  residual and returns it, so callers can treat inexact solutions as
+  search directions.
 """
 
 from __future__ import annotations
@@ -116,7 +118,6 @@ class LUFactor:
     """LU factorization of a square matrix A behind one ``solve(b, trans)``."""
 
     def __init__(self, A):
-        self.n = A.shape[0]
         if sp.issparse(A):
             lu = spla.splu(sp.csc_array(A))
             self._solve = lambda b, trans: lu.solve(b, trans="T" if trans else "N")
@@ -130,20 +131,6 @@ class LUFactor:
     def solve(self, b, trans=False):
         """``A^-1 b``, or ``A^-T b`` when ``trans``."""
         return self._solve(np.asarray(b, dtype=float), trans)
-
-    def aug_inverse(self):
-        """[[0, A^-T], [A^-1, 0]] as a ``LinearOperator``: the inverse of [[0, A], [A^T, 0]].
-
-        Only the Newton preconditioner uses it; the triplets apply
-        ``solve`` directly.
-        """
-        n = self.n
-
-        def apply(x):
-            x = np.ravel(x)
-            return np.concatenate([self.solve(x[n:], trans=True), self.solve(x[:n])])
-
-        return spla.LinearOperator((2 * n, 2 * n), matvec=apply, dtype=float)
 
 
 def factorize(A):
@@ -312,28 +299,18 @@ class IterativeSolve:
     converged: bool
 
 
-def _as_operator(op, n):
-    if sp.issparse(op) or isinstance(op, np.ndarray):
-        return spla.aslinearoperator(op)
-    if isinstance(op, spla.LinearOperator):
-        return op
-    if callable(op):
-        return spla.LinearOperator((n, n), matvec=op)
-    raise StructureError(f"unsupported operator type {type(op)!r}")
-
-
-def solve_symmetric_iterative(op, b, tol=1e-10, max_iter=None, precond=None):
+def solve_symmetric_iterative(op, b, tol, precond=None):
     """GCROT(m, k) on a symmetric (possibly indefinite) system, optionally preconditioned.
 
-    ``op`` may be a matrix, a ``LinearOperator``, or a matvec callable; the
-    caller asserts symmetry. ``precond`` approximates the inverse of ``op``
-    (any ``LinearOperator``; it need not be definite, nor symmetric) and is
-    applied on the right, so the residual minimised is the true one. The
-    solve stops when the true relative residual ||b - op x|| / ||b|| is at
-    most ``tol`` or after about ``max_iter`` new Krylov directions (default:
-    the order of the system), rounded up to whole ``GCROT_CYCLE`` cycles.
-    Each direction costs one application of ``precond`` (of the identity
-    when there is none) and one of ``op``; ``iterations`` counts them.
+    ``op`` is the matvec callable of the system; the caller asserts
+    symmetry. ``precond``, also a callable, approximates the inverse of
+    ``op`` (it need not be definite, nor symmetric) and is applied on the
+    right, so the residual minimised is the true one. The solve stops when
+    the true relative residual ||b - op x|| / ||b|| is at most ``tol`` or
+    after about as many new Krylov directions as the order of the system,
+    rounded up to whole ``GCROT_CYCLE`` cycles. Each direction costs one
+    application of ``precond`` (of the identity when there is none) and one
+    of ``op``; ``iterations`` counts them.
 
     Returns the iterate with that achieved residual; an unconverged solve is
     not an error, since an inexact step is still a usable search direction.
@@ -343,10 +320,7 @@ def solve_symmetric_iterative(op, b, tol=1e-10, max_iter=None, precond=None):
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return IterativeSolve(x=np.zeros(n), residual=0.0, iterations=0, converged=True)
-    linop = _as_operator(op, n)
-    if max_iter is None:
-        max_iter = n
-    apply_precond = _as_operator(precond, n).matvec if precond is not None else np.asarray
+    apply_precond = precond if precond is not None else np.asarray
     count = 0
 
     def counted_precond(x):
@@ -354,8 +328,9 @@ def solve_symmetric_iterative(op, b, tol=1e-10, max_iter=None, precond=None):
         count += 1
         return apply_precond(x)
 
+    linop = spla.LinearOperator((n, n), matvec=op)
     x, _info = spla.gcrotmk(
-        linop, b, rtol=tol, maxiter=-(-max_iter // GCROT_CYCLE), m=GCROT_CYCLE,
+        linop, b, rtol=tol, maxiter=-(-n // GCROT_CYCLE), m=GCROT_CYCLE,
         k=GCROT_RECYCLE, M=spla.LinearOperator((n, n), matvec=counted_precond, dtype=float))
-    res = float(np.linalg.norm(b - linop.matvec(x)) / bnorm)
+    res = float(np.linalg.norm(b - op(x)) / bnorm)
     return IterativeSolve(x=x, residual=res, iterations=count, converged=res <= tol)

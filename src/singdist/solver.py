@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import time
 import warnings
 
@@ -103,6 +104,9 @@ class SolverOptions:
     def __post_init__(self):
         if self.grad_tol is not None and not 0 < self.grad_tol < math.inf:
             raise ValueError("grad_tol must be positive and finite")
+        for name in ("max_newton_iters", "multistart"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.max_newton_iters < 1:
             raise ValueError("iteration budgets must be positive")
         if self.multistart < 1:
@@ -278,10 +282,11 @@ def newton_step(P: ProblemInstance, state: SolverState):
     dense path (``P.use_dense_newton``) assemble the bordered matrix and use
     the direct solver with its minimum-norm fallback (``inner`` is None).
     The others apply it matrix-free through GCROT(m, k) to a true relative
-    residual of at most ``INNER_TOL``, right-preconditioned by
-    blockdiag(aug^-1, 1), where aug^-1 inverts [[0, A], [A^T, 0]] (H's
-    leading part while u and Delta are small) from the instance's LU of A,
-    starting from zero; an A without LU gets here only above
+    residual of at most ``INNER_TOL``, starting from zero and
+    right-preconditioned by the inverse of blockdiag([[0, A], [A^T, 0]], 1)
+    (H's leading part while u and Delta are small), which maps
+    [x1; x2; x_N] to [A^-T x2; A^-1 x1; x_N] through two solves with the
+    instance's LU of A; an A without LU gets here only above
     ``linalg.DENSE_FALLBACK_MAX_N`` unknowns and runs unpreconditioned.
     ``inner`` is the ``linalg.IterativeSolve`` with its iterations,
     achieved residual and convergence. The step depends on P and the state
@@ -304,12 +309,12 @@ def newton_step(P: ProblemInstance, state: SolverState):
 
     precond = None
     if P.factor is not None:
-        aug_inverse = P.factor.aug_inverse()
+        solve_lu = P.factor.solve
 
         def precond(x):
-            return np.append(aug_inverse.matvec(x[:N]), x[N])
+            return np.concatenate([solve_lu(x[m:N], trans=True), solve_lu(x[:m]), x[N:]])
 
-    it = linalg.solve_symmetric_iterative(bordered, rhs, tol=INNER_TOL, precond=precond)
+    it = linalg.solve_symmetric_iterative(bordered, rhs, INNER_TOL, precond)
     return it.x[:m], it.x[m:N], it
 
 
@@ -432,9 +437,8 @@ def line_search_newton(P: ProblemInstance, start_u, start_v, start_index: int = 
         du, dv, inner = newton_step(P, state)
         alpha = 1.0
         for bt in range(MAX_BACKTRACKS + 1):
-            u_try, v_try, g_try = residual_G_beta(P, state.u + alpha * du, state.v + alpha * dv)
-            gn_try = float(np.linalg.norm(g_try))
-            if gn_try < state.residual_norm:  # False for NaN
+            trial = SolverState.at(P, state.u + alpha * du, state.v + alpha * dv)
+            if trial.residual_norm < state.residual_norm:  # False for NaN
                 break
             alpha *= 0.5
         else:
@@ -443,8 +447,8 @@ def line_search_newton(P: ProblemInstance, start_u, start_v, start_index: int = 
                 f"no descent within {MAX_BACKTRACKS} backtracks at iteration {it}",
                 trace, start_index, t0,
             )
-        state = SolverState(u_try, v_try, g_try, gn_try)
-        trace.append(IterationRecord(it, gn_try, alpha, bt,
+        state = trial
+        trace.append(IterationRecord(it, state.residual_norm, alpha, bt,
                                      inner.iterations if inner else 0,
                                      inner.converged if inner else True,
                                      inner.residual if inner else math.nan))
@@ -566,18 +570,17 @@ def solve(P: ProblemInstance) -> SolveResult:
         result.sigma_min, result.sigma_max = float(sigma_min_a), float(sigma_max_a)
         return result
     starts = starting_values(P, K, trips)
-    runnable = [s for s in starts if not s.skipped]
-    if not runnable:
+    results = {s.index: line_search_newton(P, s.u0, s.v0, s.index)
+               for s in starts if not s.skipped}
+    summaries = [_summarize(s, results.get(s.index)) for s in starts]
+    if not results:
         raise AllStartsFailed(
             "every start was skipped (structure orthogonal to all rank-1 directions)",
-            starts=[_summarize(s, None) for s in starts],
+            starts=summaries,
         )
-    results = [line_search_newton(P, s.u0, s.v0, s.index) for s in runnable]
-    by_index = {s.index: r for s, r in zip(runnable, results)}
-    summaries = [_summarize(s, by_index.get(s.index)) for s in starts]
-    converged = [r for r in results if r.converged]
+    converged = [r for r in results.values() if r.converged]
     if not converged:
-        best = min(results, key=lambda r: r.grad_norm)
+        best = min(results.values(), key=lambda r: r.grad_norm)
         best.starts = summaries
         best.wall_time = time.perf_counter() - t0
         raise AllStartsFailed(

@@ -137,6 +137,21 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     assert rep["converged"] is False
 
 
+def test_solve_with_every_start_skipped_exits_1(tmp_path, capsys):
+    # no start can run (see test_all_starts_skipped_raises_without_best):
+    # the structure cannot perturb A toward singularity, so the input is bad
+    import scipy.io
+    import scipy.sparse as sp
+
+    mat = write_diag(tmp_path)
+    pattern_file = tmp_path / "pat.mtx"
+    scipy.io.mmwrite(pattern_file, sp.coo_array(([1.0], ([0], [1])), shape=(2, 2)))
+    with pytest.warns(UserWarning, match="skipped"):
+        assert run(["solve", mat, "--pattern", pattern_file]) == 1
+    assert capsys.readouterr().err == (
+        "error: every start was skipped (structure orthogonal to all rank-1 directions)\n")
+
+
 def test_report_determinism(tmp_path):
     rng = np.random.default_rng(71)
     mat = tmp_path / "r.mtx"
@@ -286,6 +301,14 @@ def test_certify_input_errors(tmp_path, capsys):
         for value in ("inf", "nan"):
             assert run(["certify", mat, delta, v, "--full", flag, value]) == 1
             assert capsys.readouterr().err == f"error: {name} must be positive and finite\n"
+    # a non-finite perturbation or kernel vector is bad input, not a FAIL
+    write_vector(v, np.array([np.nan, 1.0]))
+    assert run(["certify", mat, delta, v, "--full"]) == 1
+    assert capsys.readouterr().err == "error: v contains non-finite entries\n"
+    write_vector(v, np.array([1.0, 0.0]))
+    write_matrix(delta, np.diag([np.nan, -1e-4]))
+    assert run(["certify", mat, delta, v, "--full"]) == 1
+    assert capsys.readouterr().err == "error: delta contains non-finite entries\n"
 
 
 def test_version_flag(capsys):

@@ -190,9 +190,6 @@ def test_lu_factor_solves_and_inverts_augmented():
         f = factorize(M)
         assert np.linalg.norm(A @ f.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
         assert np.linalg.norm(A.T @ f.solve(b, trans=True) - b) <= 1e-12 * np.linalg.norm(b)
-        aug = np.block([[np.zeros((n, n)), A.toarray()], [A.toarray().T, np.zeros((n, n))]])
-        x = rng.standard_normal(2 * n)
-        assert np.allclose(aug @ f.aug_inverse().matvec(x), x, atol=1e-11)
     singular = sp.csr_array(sp.diags(np.r_[np.ones(n - 1), 0.0]))
     assert factorize(singular) is None
     assert factorize(singular.toarray()) is None
@@ -248,11 +245,11 @@ def test_solve_dense_singular_lu_warns_nothing():
 
 
 def test_iterative_identity_and_diagonal():
-    out = solve_symmetric_iterative(np.eye(4), np.arange(1.0, 5.0), tol=1e-12)
+    out = solve_symmetric_iterative(lambda x: x, np.arange(1.0, 5.0), tol=1e-12)
     assert np.allclose(out.x, np.arange(1.0, 5.0), atol=1e-10)
     assert out.iterations <= 2
     d = np.arange(1.0, 11.0)
-    out = solve_symmetric_iterative(np.diag(d), np.ones(10), tol=1e-12)
+    out = solve_symmetric_iterative(lambda x: d * x, np.ones(10), tol=1e-12)
     assert np.allclose(out.x, 1.0 / d, atol=1e-10)
     assert out.converged
 
@@ -263,7 +260,7 @@ def test_iterative_matches_dense_on_indefinite():
         B = rng.standard_normal((50, 50))
         M = (B + B.T) / 2  # symmetric indefinite
         b = rng.standard_normal(50)
-        it = solve_symmetric_iterative(lambda x: M @ x, b, tol=1e-10, max_iter=500)
+        it = solve_symmetric_iterative(lambda x: M @ x, b, tol=1e-10)
         ref = solve_dense(M, b).x
         assert np.linalg.norm(it.x - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -273,7 +270,7 @@ def test_iterative_reports_achieved_residual():
     B = rng.standard_normal((30, 30))
     M = (B + B.T) / 2
     b = rng.standard_normal(30)
-    out = solve_symmetric_iterative(lambda x: M @ x, b, tol=1e-8, max_iter=500)
+    out = solve_symmetric_iterative(lambda x: M @ x, b, tol=1e-8)
     assert abs(np.linalg.norm(M @ out.x - b) / np.linalg.norm(b) - out.residual) <= 1e-12
 
 
@@ -295,10 +292,9 @@ def test_iterative_preconditioned_reaches_true_residual():
         calls[0] += 1
         return Minv @ x
 
-    P = spla.LinearOperator((n, n), matvec=precond)
     for tol in (1e-2, 1e-8):
         calls[0] = 0
-        out = solve_symmetric_iterative(lambda x: M @ x, b, tol=tol, precond=P)
+        out = solve_symmetric_iterative(lambda x: M @ x, b, tol=tol, precond=precond)
         true = np.linalg.norm(M @ out.x - b) / np.linalg.norm(b)
         assert out.converged and true <= tol
         assert abs(true - out.residual) <= 1e-12

@@ -111,6 +111,9 @@ def test_evaluate_rejects_bad_arguments():
     P = ProblemInstance(A, FullStructure(A.shape))
     with pytest.raises(Exception):
         evaluate(P, np.array([2.0, 0, 0]), 1e-8)  # not unit norm
+    for bad in (np.nan, np.inf):  # abs(nan - 1) > tol is False: checked apart
+        with pytest.raises(StructureError, match="v must be finite"):
+            evaluate(P, np.array([bad, 1.0, 0]), 1e-8)
     for eps in (0.0, np.inf, np.nan):  # eps must be positive and finite
         with pytest.raises(ValueError, match="eps must be positive and finite"):
             evaluate(P, np.array([1.0, 0, 0]), eps)
@@ -152,6 +155,21 @@ def test_certify_negative_control_perturbed_v():
     shim = types.SimpleNamespace(v=bad_v, distance=res.distance)
     cert = certify_solution(P, shim)
     assert not cert.passed
+
+
+@pytest.mark.parametrize("shape", [(90, 60), (60, 90)])
+def test_default_eps_does_not_bias_a_large_distance(shape):
+    # eps enters u as a relative error eps / k1, so the gradient test is
+    # biased in proportion to the distance: at the former default of
+    # 1e-10 ||A||_F^2 these converged solves (distance 2.15 and 1.91)
+    # FAILed with |grad| 2.5e-6 and 2.0e-6; at the default they PASS
+    A = np.random.default_rng(1).standard_normal(shape)
+    P = ProblemInstance(A, FullStructure(A.shape))
+    res = solve(P)
+    assert res.converged and res.distance > 1.5
+    cert = certify_solution(P, res)
+    assert cert.passed and not cert.rank_drop
+    assert cert.grad_norm <= 1e-8
 
 
 def test_certify_example_diag():

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import pathlib
 import re
 
@@ -55,6 +56,11 @@ def test_public_surface():
         assert getattr(singdist, name) is not None
     for module in MODULES:
         assert getattr(singdist, module).__name__ == f"singdist.{module}"
+    # every submodule export resolves, so a deletion leaves no stale name
+    for module in MODULES + ("cli",):
+        mod = importlib.import_module(f"singdist.{module}")
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, f"singdist.{module}.__all__ names missing {missing}"
 
 
 def test_solver_option_fields():

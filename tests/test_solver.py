@@ -321,6 +321,18 @@ def test_all_starts_failed_carries_best():
     assert len(exc.value.starts) == 1
 
 
+def test_all_starts_skipped_raises_without_best():
+    # the only start of diag(3, 1) lies along e2 e2^T, which a pattern on
+    # entry (0, 1) cannot touch: nothing runs, and the summary says why
+    P = ProblemInstance(np.diag([3.0, 1.0]), SparsityPattern(2, 2, [(0, 1)]))
+    with pytest.warns(UserWarning, match="skipped"), pytest.raises(AllStartsFailed) as exc:
+        solve(P)
+    assert exc.value.best is None
+    [summary] = exc.value.starts
+    assert summary.skipped and summary.index == 1 and not summary.converged
+    assert summary.reason == "projected rank-1 direction vanishes"
+
+
 def test_rectangular_instance_rank_deficiency():
     # distance to the nearest rank-deficient 3x2 matrix is sigma_2
     rng = np.random.default_rng(34)
@@ -408,6 +420,34 @@ def test_krylov_newton_step_is_a_function_of_the_state(monkeypatch):
     assert inner1.iterations > 0
     assert np.array_equal(du1, du2) and np.array_equal(dv1, dv2)
     assert inner1.iterations == inner2.iterations
+
+
+def test_krylov_newton_step_preconditions_with_the_augmented_inverse(monkeypatch):
+    # the preconditioner newton_step hands to GCROT inverts [[0, A], [A^T, 0]]
+    # through the LU of A, sparse or dense, and passes the border entry through
+    A = sparse_instance(40, 47)
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 50)
+    iterative = linalg.solve_symmetric_iterative
+    captured = []
+
+    def capturing(op, b, tol, precond=None):
+        captured.append(precond)
+        return iterative(op, b, tol, precond)
+
+    monkeypatch.setattr(linalg, "solve_symmetric_iterative", capturing)
+    n, N = 40, 80
+    aug = np.block([[np.zeros((n, n)), A.toarray()], [A.toarray().T, np.zeros((n, n))]])
+    x = np.random.default_rng(47).standard_normal(N + 1)
+    for M in (A, A.toarray()):
+        P = ProblemInstance(M)
+        assert P.factor is not None and not P.use_dense_newton
+        start = starting_values(P, 1)[0]
+        captured.clear()
+        newton_step(P, SolverState.at(P, start.u0, start.v0))
+        [precond] = captured
+        y = precond(x)
+        assert np.allclose(aug @ y[:N], x[:N], rtol=0, atol=1e-11)
+        assert y[N] == x[N]
 
 
 def test_krylov_multistart_starts_are_independent(monkeypatch):
@@ -589,6 +629,13 @@ def test_solver_options_validation():
         SolverOptions(max_newton_iters=0)
     with pytest.raises(ValueError):
         SolverOptions(multistart=0)
+    # a fractional or infinite budget would fail deep inside solve
+    for iters in (2.5, math.inf):
+        with pytest.raises(ValueError, match="max_newton_iters must be an integer"):
+            SolverOptions(max_newton_iters=iters)
+    with pytest.raises(ValueError, match="multistart must be an integer"):
+        SolverOptions(multistart=1.5)
+    assert SolverOptions(max_newton_iters=np.int64(3), multistart=np.int64(2)).multistart == 2
 
 
 def test_problem_instance_resolves_options_and_checks_structure_shape():

@@ -328,7 +328,7 @@ def solve_symmetric_iterative(op, b, tol, precond=None):
         count += 1
         return apply_precond(x)
 
-    linop = spla.LinearOperator((n, n), matvec=op)
+    linop = spla.LinearOperator((n, n), matvec=op, dtype=float)
     x, _info = spla.gcrotmk(
         linop, b, rtol=tol, maxiter=-(-n // GCROT_CYCLE), m=GCROT_CYCLE,
         k=GCROT_RECYCLE, M=spla.LinearOperator((n, n), matvec=counted_precond, dtype=float))

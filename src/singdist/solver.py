@@ -15,9 +15,11 @@ Newton step fixes the gauge with a border (H. B. Keller's bordering method),
     [[H, c], [c^T, 0]] [du; dv; lam] = [-G; 0],   c = [0; v],
 
 which asks v . dv = 0 and is nonsingular at any root isolated up to the
-gauge, because c^T (u, -v) = -||v||^2 != 0. Every trial point is rescaled
-to ||v|| = 1 through the gauge, and a backtracking line search halves the
-step until ||G|| there strictly decreases.
+gauge, because c^T (u, -v) = -||v||^2 != 0. ``bordered_jacobian`` is the
+one place H is built, from the Gram blocks and A + ``h_offdiag``, once
+per step; the direct and the Krylov solve both use that matrix. Every
+trial point is rescaled to ||v|| = 1 through the gauge, and a backtracking
+line search halves the step until ||G|| there strictly decreases.
 
 Starting values come from the smallest singular triplets of A: for the k-th
 triplet (sigma, u_k, v_k) the initial pair is v_0 = v_k and
@@ -53,8 +55,7 @@ __all__ = [
     "StartSummary",
     "residual_G",
     "residual_G_beta",
-    "apply_H",
-    "assemble_H",
+    "bordered_jacobian",
     "newton_step",
     "line_search_newton",
     "starting_values",
@@ -71,14 +72,15 @@ START_PROJECTION_TOL = 1e-14
 MAX_BACKTRACKS = 40
 
 #: problems with at most this many total unknowns (m + n), dense or sparse,
-#: assemble H densely and take the full SVD for their triplets and
-#: certificate; larger square ones are LU-factored once. It lies above the
-#: measured crossovers to the Krylov path so that small, hard problems keep
-#: the dense solve and its least-squares fallback: a whole solve on the
-#: Krylov path overtakes the dense one from about m + n = 250 for sparse
-#: input (random with 5 entries per row, or 7-diagonal banded) and about
-#: 400 for dense input with a 40% pattern, still mixed up to 600 (bordered
-#: Newton, one GCROT solve from zero per step, 2 BLAS threads).
+#: solve a dense bordered Newton matrix directly and take the full SVD for
+#: their triplets and certificate; larger square ones are LU-factored once.
+#: It lies above the measured crossovers to the Krylov path so that small,
+#: hard problems keep the dense solve and its least-squares fallback: a
+#: whole solve on the Krylov path overtakes the dense one from about
+#: m + n = 250 for sparse input (random with 5 entries per row, or
+#: 7-diagonal banded) and about 400 for dense input with a 40% pattern,
+#: still mixed up to 600 (bordered Newton, one GCROT solve from zero per
+#: step, 2 BLAS threads).
 DENSE_THRESHOLD = 1000
 
 #: forcing term of the Krylov path: the true relative residual every inner
@@ -137,7 +139,6 @@ class ProblemInstance:
         self.options = options if options is not None else SolverOptions()
         self.norm_fro = linalg.frobenius_norm(self.A)
         self._A_T = self.A.T.tocsr() if sp.issparse(self.A) else self.A.T
-        self._A_dense = None
 
     @property
     def grad_tol(self):
@@ -147,7 +148,7 @@ class ProblemInstance:
 
     @property
     def use_dense_newton(self):
-        """Whether the Newton step assembles H densely.
+        """Whether the Newton step solves a dense bordered matrix directly.
 
         True up to ``DENSE_THRESHOLD`` unknowns (m + n), and also up to
         ``linalg.DENSE_FALLBACK_MAX_N`` when A has no LU (rectangular or
@@ -174,11 +175,6 @@ class ProblemInstance:
     def singular_triplets(self, k):
         """The k smallest singular triplets of A and sigma_max(A), routed by the instance."""
         return linalg.smallest_singular_triplets(self.A, k, factor=self.factor)
-
-    def dense_A(self):
-        if self._A_dense is None:
-            self._A_dense = as_dense(self.A)
-        return self._A_dense
 
     def matvec(self, v):
         return self.A @ v
@@ -217,44 +213,41 @@ def residual_G_beta(P: ProblemInstance, u, v):
     return u, v, residual_G(P, u, v)
 
 
-def apply_H(P: ProblemInstance, u, v, du, dv):
-    """Matrix-free application of the Jacobian H of G to (du, dv).
+def bordered_jacobian(P: ProblemInstance, u, v):
+    """The bordered Jacobian K = [[H, c], [c^T, 0]] of G at (u, v), c = [0; v].
 
-    Block form [[M M^T, A + Delta + M N^T], [(A + Delta + M N^T)^T, N N^T]];
-    symmetric for all real data.
+    H = [[M M^T, B], [B^T, N N^T]] with B = A + ``h_offdiag(u, v)``; the
+    Gram blocks are diagonal (``gram_diagonals``) when the structure says
+    so, and products of ``m_matrix`` and ``n_matrix`` otherwise. K is
+    symmetric for all real data. On the Krylov path a sparse A gives a CSR
+    K; otherwise K is an ndarray filled in place.
     """
     S = P.structure
+    m, N = P.m, P.m + P.n
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    du = np.asarray(du, dtype=float)
-    dv = np.asarray(dv, dtype=float)
-    c = S.apply_mt(v, u)  # basis coordinates of Delta
-    w = S.apply_mt(v, du) + S.apply_nt(u, dv)
-    h1 = P.matvec(dv) + S.apply_m(dv, c) + S.apply_m(v, w)
-    h2 = P.rmatvec(du) + S.apply_n(du, c) + S.apply_n(u, w)
-    return np.concatenate([h1, h2])
-
-
-def assemble_H(P: ProblemInstance, u, v):
-    """Dense assembly of H; used by the direct Newton path and tests."""
-    S = P.structure
-    m, n = P.m, P.n
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    H = np.zeros((m + n, m + n))
     if S.diagonal_gram:
-        k1, k2 = S.gram_diagonals(u, v)
-        H[np.arange(m), np.arange(m)] = k1
-        H[np.arange(m, m + n), np.arange(m, m + n)] = k2
+        g1, g2 = S.gram_diagonals(u, v)
     else:
-        Mm = S.m_matrix(v)
-        Nm = S.n_matrix(u)
-        H[:m, :m] = Mm @ Mm.T
-        H[m:, m:] = Nm @ Nm.T
-    off = P.dense_A() + as_dense(S.h_offdiag(u, v))
-    H[:m, m:] = off
-    H[m:, :m] = off.T
-    return H
+        Mm, Nm = S.m_matrix(v), S.n_matrix(u)
+        g1, g2 = Mm @ Mm.T, Nm @ Nm.T
+    off = P.A + S.h_offdiag(u, v)
+    if sp.issparse(P.A) and not P.use_dense_newton:
+        if S.diagonal_gram:
+            g1, g2 = sp.diags_array(g1), sp.diags_array(g2)
+        c = sp.csr_array(v[:, None])
+        return sp.block_array([[g1, off, None], [off.T, g2, c], [None, c.T, None]],
+                              format="csr")
+    K = np.zeros((N + 1, N + 1))
+    if S.diagonal_gram:
+        K[np.arange(N), np.arange(N)] = np.concatenate([g1, g2])
+    else:
+        K[:m, :m], K[m:N, m:N] = g1, g2
+    off = as_dense(off)
+    K[:m, m:N] = off
+    K[m:N, :m] = off.T
+    K[m:N, N] = K[N, m:N] = v
+    return K
 
 
 @dataclasses.dataclass
@@ -278,11 +271,12 @@ def newton_step(P: ProblemInstance, state: SolverState):
 
     The system is [[H, c], [c^T, 0]] [du; dv; lam] = [-G; 0] with
     c = [0; v]: the border row asks v . dv = 0, which removes the gauge
-    direction (u, -v) from the step, and lam is discarded. Problems on the
-    dense path (``P.use_dense_newton``) assemble the bordered matrix and use
-    the direct solver with its minimum-norm fallback (``inner`` is None).
-    The others apply it matrix-free through GCROT(m, k) to a true relative
-    residual of at most ``INNER_TOL``, starting from zero and
+    direction (u, -v) from the step, and lam is discarded. Both paths
+    assemble the bordered matrix once, through ``bordered_jacobian``.
+    Problems on the dense path (``P.use_dense_newton``) solve it with the
+    direct solver and its minimum-norm fallback (``inner`` is None). The
+    others solve it through GCROT(m, k) to a true relative residual of at
+    most ``INNER_TOL``, starting from zero and
     right-preconditioned by the inverse of blockdiag([[0, A], [A^T, 0]], 1)
     (H's leading part while u and Delta are small), which maps
     [x1; x2; x_N] to [A^-T x2; A^-1 x1; x_N] through two solves with the
@@ -293,19 +287,11 @@ def newton_step(P: ProblemInstance, state: SolverState):
     alone.
     """
     m, N = P.m, P.m + P.n
-    u, v = state.u, state.v
+    K = bordered_jacobian(P, state.u, state.v)
     rhs = np.append(-state.residual, 0.0)
     if P.use_dense_newton:
-        K = np.zeros((N + 1, N + 1))
-        K[:N, :N] = assemble_H(P, u, v)
-        K[m:N, N] = K[N, m:N] = v
         x = linalg.solve_dense(K, rhs).x
         return x[:m], x[m:N], None
-
-    def bordered(x):
-        h = apply_H(P, u, v, x[:m], x[m:N])
-        h[m:] += x[N] * v
-        return np.append(h, v @ x[m:N])
 
     precond = None
     if P.factor is not None:
@@ -314,7 +300,7 @@ def newton_step(P: ProblemInstance, state: SolverState):
         def precond(x):
             return np.concatenate([solve_lu(x[m:N], trans=True), solve_lu(x[:m]), x[N:]])
 
-    it = linalg.solve_symmetric_iterative(bordered, rhs, INNER_TOL, precond)
+    it = linalg.solve_symmetric_iterative(lambda x: K @ x, rhs, INNER_TOL, precond)
     return it.x[:m], it.x[m:N], it
 
 
@@ -520,7 +506,7 @@ def _certificate_sigmas(P: ProblemInstance, result: SolveResult):
     """
     try:
         if P.m + P.n <= DENSE_THRESHOLD or min(P.m, P.n) < 2:
-            s = np.linalg.svd(P.dense_A() + as_dense(result.delta), compute_uv=False)
+            s = np.linalg.svd(as_dense(P.A + result.delta), compute_uv=False)
             return float(s[-1]), float(s[0]), ""
         B = P.A + result.delta
         smax = linalg.spectral_norm(B)

@@ -308,3 +308,22 @@ def test_validate_rejects_bad_input():
         validate_matrix(np.array([[1.0, np.nan], [0, 1]]))
     with pytest.raises(Exception):
         validate_matrix(np.array([[1j, 0], [0, 1]]))
+
+
+def test_iterative_applies_the_operator_once_per_direction():
+    # one application of op per Krylov direction plus the final true-residual
+    # check: no probe call on a zero vector to infer the operator's dtype
+    rng = np.random.default_rng(21)
+    B = rng.standard_normal((40, 40))
+    M = B @ B.T + 40 * np.eye(40)  # symmetric positive definite
+    b = rng.standard_normal(40)
+    calls = []
+
+    def op(x):
+        calls.append(np.linalg.norm(x))
+        return M @ x
+
+    out = solve_symmetric_iterative(op, b, tol=1e-14)
+    assert out.iterations > 0
+    assert len(calls) == out.iterations + 1
+    assert all(c > 0 for c in calls[:-1])

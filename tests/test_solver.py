@@ -22,8 +22,7 @@ from singdist import (
 )
 from singdist.solver import (
     SolverState,
-    apply_H,
-    assemble_H,
+    bordered_jacobian,
     line_search_newton,
     newton_step,
     residual_G,
@@ -41,7 +40,7 @@ def full_instance(A, **kw):
 def F(P, u, v):
     # objective whose gradient is residual_G when A is in S
     delta = as_dense(P.structure.project_rank1(u, v))
-    return 0.5 * np.linalg.norm(P.dense_A() + delta) ** 2
+    return 0.5 * np.linalg.norm(as_dense(P.A + delta)) ** 2
 
 
 def test_residual_G_zero_u():
@@ -113,14 +112,18 @@ def test_residual_G_beta_is_gradient_of_F_beta():
 
 
 def test_apply_H_beta_linearity_and_fd():
+    # the leading block of the bordered Jacobian is the derivative of G
     rng = np.random.default_rng(24)
     A, S = pattern_instance(rng, n=6)
     P = ProblemInstance(A, S)
     u = rng.standard_normal(6)
     v = rng.standard_normal(6)
-    assert np.allclose(apply_H(P, u, v, np.zeros(6), np.zeros(6)), 0.0, atol=1e-15)
+    K = bordered_jacobian(P, u, v)
+    assert K.shape == (13, 13)
+    assert np.array_equal(K[:12, 12], np.concatenate([np.zeros(6), v]))
+    assert np.array_equal(K[12], np.append(K[:12, 12], 0.0))
     w = rng.standard_normal(12)
-    Hw = apply_H(P, u, v, w[:6], w[6:])
+    Hw = K[:12, :12] @ w
     errs = []
     for h in (1e-3, 1e-4):
         fd = (residual_G(P, u + h * w[:6], v + h * w[6:])
@@ -132,36 +135,51 @@ def test_apply_H_beta_linearity_and_fd():
 
 def test_apply_H_beta_known_matrix():
     # at the solved point of diag(s1, s2) the Jacobian of G is
-    # [[1,0,s1,0],[0,1,0,-s2],[s1,0,s2^2,0],[0,-s2,0,s2^2]]
+    # [[1,0,s1,0],[0,1,0,-s2],[s1,0,s2^2,0],[0,-s2,0,s2^2]], bordered by [0; v]
     s1, s2 = 3.0, 1.0
     P = full_instance(np.diag([s1, s2]))
     u = np.array([0.0, -s2])
     v = np.array([0.0, 1.0])
-    H_ref = np.array([
-        [1.0, 0.0, s1, 0.0],
-        [0.0, 1.0, 0.0, -s2],
-        [s1, 0.0, s2 ** 2, 0.0],
-        [0.0, -s2, 0.0, s2 ** 2],
+    K_ref = np.array([
+        [1.0, 0.0, s1, 0.0, 0.0],
+        [0.0, 1.0, 0.0, -s2, 0.0],
+        [s1, 0.0, s2 ** 2, 0.0, 0.0],
+        [0.0, -s2, 0.0, s2 ** 2, 1.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0],
     ])
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = 1.0
-        col = apply_H(P, u, v, e[:2], e[2:])
-        assert np.allclose(col, H_ref[:, i], atol=1e-13)
-    assert np.allclose(assemble_H(P, u, v), H_ref, atol=1e-13)
+    assert np.allclose(bordered_jacobian(P, u, v), K_ref, atol=1e-13)
 
 
-def test_assembled_H_matches_operator_on_basis_structure():
+def test_krylov_route_jacobian_equals_dense_route_jacobian(monkeypatch):
+    # both routes build K from the same blocks: entry for entry the same
+    # matrix, CSR on the Krylov route for sparse A and dense otherwise
     rng = np.random.default_rng(25)
-    S = random_orthonormal_basis(rng, 5, 5, 7)
-    A = rng.standard_normal((5, 5))
-    P = ProblemInstance(A, S)
-    u = rng.standard_normal(5)
-    v = rng.standard_normal(5)
-    H = assemble_H(P, u, v)
-    for trial in range(5):
-        w = rng.standard_normal(10)
-        assert np.allclose(H @ w, apply_H(P, u, v, w[:5], w[5:]), atol=1e-11)
+    cases = []
+    for m, n in ((6, 6), (5, 7), (7, 4)):
+        A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
+        A[np.arange(min(m, n)), np.arange(min(m, n))] += 2.0
+        pattern = SparsityPattern.from_matrix(A)
+        for S in (pattern, FullStructure(A.shape), pattern.to_basis(),
+                  random_orthonormal_basis(rng, m, n, 9)):
+            for storage in (np.asarray, sp.csr_array):
+                cases.append((storage(A), S, rng.standard_normal(m), rng.standard_normal(n)))
+    dense_route = []
+    for A, S, u, v in cases:
+        P = ProblemInstance(A, S)
+        assert P.use_dense_newton
+        dense_route.append(bordered_jacobian(P, u, v))
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 0)
+    monkeypatch.setattr(linalg, "DENSE_FALLBACK_MAX_N", 0)
+    for (A, S, u, v), K_dense in zip(cases, dense_route):
+        P = ProblemInstance(A, S)
+        assert not P.use_dense_newton
+        K = bordered_jacobian(P, u, v)
+        assert isinstance(K_dense, np.ndarray)
+        if sp.issparse(A):
+            assert isinstance(K, sp.csr_array)
+        else:
+            assert isinstance(K, np.ndarray)
+        assert np.array_equal(as_dense(K), K_dense), (A.shape, S, type(A))
 
 
 def test_H_beta_symmetry():
@@ -171,12 +189,11 @@ def test_H_beta_symmetry():
         P = ProblemInstance(A, S)
         u = rng.standard_normal(8)
         v = rng.standard_normal(8)
+        K = bordered_jacobian(P, u, v)
         for trial in range(5):
-            x = rng.standard_normal(16)
-            y = rng.standard_normal(16)
-            hx = apply_H(P, u, v, x[:8], x[8:])
-            hy = apply_H(P, u, v, y[:8], y[8:])
-            assert abs(hx @ y - x @ hy) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+            x = rng.standard_normal(17)
+            y = rng.standard_normal(17)
+            assert abs((K @ x) @ y - x @ (K @ y)) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
 def test_newton_step_small_at_solution():
@@ -375,6 +392,66 @@ def test_krylov_path_matches_dense_path(monkeypatch):
     assert_sigma_bound(A, krylov)
 
 
+@pytest.mark.parametrize("kind", ["pattern-basis", "random-basis", "full"])
+def test_krylov_path_matches_dense_path_on_general_structures(monkeypatch, kind):
+    # structures whose Gram blocks come from m_matrix and n_matrix (a basis)
+    # or whose off-diagonal block is dense (full), run from one perturbed
+    # start on both routes. The tight grad_tol keeps the stopping test from
+    # deciding the agreement: at the default the two runs can stop 1e-10
+    # apart (relative) in distance
+    A = sparse_instance(40, 48)
+    rng = np.random.default_rng(48)
+    if kind == "pattern-basis":
+        S = SparsityPattern.from_matrix(A).to_basis()
+    elif kind == "random-basis":
+        S = random_orthonormal_basis(rng, 40, 40, 30)
+    else:
+        S = FullStructure(A.shape)
+    options = SolverOptions(grad_tol=1e-14)
+    P = ProblemInstance(A, S, options)
+    start = starting_values(P, 1)[0]
+    u0 = start.u0 + 0.01 * rng.standard_normal(40)
+    dense = line_search_newton(P, u0, start.v0)
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 50)
+    P = ProblemInstance(A, S, options)
+    assert not P.use_dense_newton and P.factor is not None
+    krylov = line_search_newton(P, u0, start.v0)
+    assert dense.converged and krylov.converged
+    assert krylov.iterations > 0 and krylov.inner_iterations > 0
+    assert abs(krylov.distance - dense.distance) <= 1e-10 * dense.distance
+
+
+def test_each_newton_step_builds_the_jacobian_once(monkeypatch):
+    # bordered_jacobian is the one place H is built, and every step of
+    # either route calls it exactly once
+    assert not hasattr(solver, "apply_H") and not hasattr(solver, "assemble_H")
+    assert not hasattr(ProblemInstance, "dense_A")
+    built, steps = [], []
+    jacobian, step = solver.bordered_jacobian, solver.newton_step
+
+    def counting_jacobian(*args):
+        built.append(len(steps))
+        return jacobian(*args)
+
+    def counting_step(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(solver, "bordered_jacobian", counting_jacobian)
+    monkeypatch.setattr(solver, "newton_step", counting_step)
+    A = sparse_instance(40, 49)
+    for threshold in (1000, 50):
+        monkeypatch.setattr(solver, "DENSE_THRESHOLD", threshold)
+        P = ProblemInstance(A)
+        assert P.use_dense_newton == (threshold == 1000)
+        built.clear()
+        steps.clear()
+        res = solve(P)
+        assert res.converged and res.iterations > 0
+        assert len(steps) == res.iterations
+        assert built == list(range(1, len(steps) + 1))
+
+
 def test_krylov_newton_step_meets_inner_tol(monkeypatch):
     # the true relative residual of every inexact Newton step, measured
     # against the assembled bordered matrix [[H, c], [c^T, 0]], c = [0; v],
@@ -390,9 +467,7 @@ def test_krylov_newton_step_meets_inner_tol(monkeypatch):
             state = SolverState.at(P, start.u0 + scale * rng.standard_normal(80), start.v0)
             for step in range(4):
                 du, dv, inner = newton_step(P, state)
-                K = np.zeros((161, 161))
-                K[:160, :160] = assemble_H(P, state.u, state.v)
-                K[80:160, 160] = K[160, 80:160] = state.v
+                K = bordered_jacobian(P, state.u, state.v)
                 assert np.array_equal(inner.x[:160], np.concatenate([du, dv]))
                 true = np.linalg.norm(K @ inner.x + np.append(state.residual, 0.0))
                 assert true <= inner_tol * state.residual_norm

@@ -15,11 +15,10 @@ Newton step fixes the gauge with a border (H. B. Keller's bordering method),
     [[H, c], [c^T, 0]] [du; dv; lam] = [-G; 0],   c = [0; v],
 
 which asks v . dv = 0 and is nonsingular at any root isolated up to the
-gauge, because c^T (u, -v) = -||v||^2 != 0. ``bordered_jacobian`` is the
-one place H is built, from the Gram blocks and A + ``h_offdiag``, once
-per step; the direct and the Krylov solve both use that matrix. Every
-trial point is rescaled to ||v|| = 1 through the gauge, and a backtracking
-line search halves the step until ||G|| there strictly decreases.
+gauge, because c^T (u, -v) = -||v||^2 != 0; ``bordered_jacobian`` builds
+it once per step, the one place H is built. Every trial point is rescaled
+to ||v|| = 1 through the gauge, and a backtracking line search halves the
+step until ||G|| there strictly decreases.
 
 Starting values come from the smallest singular triplets of A: for the k-th
 triplet (sigma, u_k, v_k) the initial pair is v_0 = v_k and
@@ -72,15 +71,14 @@ START_PROJECTION_TOL = 1e-14
 MAX_BACKTRACKS = 40
 
 #: problems with at most this many total unknowns (m + n), dense or sparse,
-#: solve a dense bordered Newton matrix directly and take the full SVD for
-#: their triplets and certificate; larger square ones are LU-factored once.
-#: It lies above the measured crossovers to the Krylov path so that small,
-#: hard problems keep the dense solve and its least-squares fallback: a
-#: whole solve on the Krylov path overtakes the dense one from about
-#: m + n = 250 for sparse input (random with 5 entries per row, or
-#: 7-diagonal banded) and about 400 for dense input with a 40% pattern,
-#: still mixed up to 600 (bordered Newton, one GCROT solve from zero per
-#: step, 2 BLAS threads).
+#: assemble H densely and take the full SVD for their triplets and
+#: certificate; larger square ones are LU-factored once. It lies above the
+#: measured crossovers to the Krylov path so that small, hard problems keep
+#: the dense solve and its least-squares fallback: a whole solve on the
+#: Krylov path overtakes the dense one from about m + n = 250 for sparse
+#: input (random with 5 entries per row, or 7-diagonal banded) and about
+#: 400 for dense input with a 40% pattern, still mixed up to 600 (bordered
+#: Newton, one GCROT solve from zero per step, 2 BLAS threads).
 DENSE_THRESHOLD = 1000
 
 #: forcing term of the Krylov path: the true relative residual every inner
@@ -148,7 +146,7 @@ class ProblemInstance:
 
     @property
     def use_dense_newton(self):
-        """Whether the Newton step solves a dense bordered matrix directly.
+        """Whether the Newton step assembles H densely.
 
         True up to ``DENSE_THRESHOLD`` unknowns (m + n), and also up to
         ``linalg.DENSE_FALLBACK_MAX_N`` when A has no LU (rectangular or
@@ -216,37 +214,48 @@ def residual_G_beta(P: ProblemInstance, u, v):
 def bordered_jacobian(P: ProblemInstance, u, v):
     """The bordered Jacobian K = [[H, c], [c^T, 0]] of G at (u, v), c = [0; v].
 
-    H = [[M M^T, B], [B^T, N N^T]] with B = A + ``h_offdiag(u, v)``; the
-    Gram blocks are diagonal (``gram_diagonals``) when the structure says
-    so, and products of ``m_matrix`` and ``n_matrix`` otherwise. K is
-    symmetric for all real data. On the Krylov path a sparse A gives a CSR
-    K; otherwise K is an ndarray filled in place.
+    H = [[M M^T, B], [B^T, N N^T]] with M = M(v), N = N(u) and
+    B = A + ``h_offdiag(u, v)`` = A + R + M N^T, R = ``project_rank1(u, v)``;
+    K is symmetric. On the dense path K is an ndarray filled in place. On
+    the Krylov path it is the product x -> K x, applied block by block so
+    that memory follows A and the structure, never (m + n)^2: a pattern
+    uses its Gram diagonals and the CSR ``h_offdiag``, a general basis the
+    maps M and N, H [x1; x2] = [(A + R) x2 + M w; (A + R)^T x1 + N w] with
+    w = M^T x1 + N^T x2.
     """
     S = P.structure
     m, N = P.m, P.m + P.n
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    if P.use_dense_newton:
+        K = np.zeros((N + 1, N + 1))
+        if S.diagonal_gram:
+            K[np.arange(N), np.arange(N)] = np.concatenate(S.gram_diagonals(u, v))
+        else:
+            Mm, Nm = S.m_matrix(v), S.n_matrix(u)
+            K[:m, :m], K[m:N, m:N] = Mm @ Mm.T, Nm @ Nm.T
+        off = as_dense(P.A + S.h_offdiag(u, v))
+        K[:m, m:N], K[m:N, :m] = off, off.T
+        K[m:N, N] = K[N, m:N] = v
+        return K
+
     if S.diagonal_gram:
         g1, g2 = S.gram_diagonals(u, v)
+        R = S.h_offdiag(u, v)
     else:
-        Mm, Nm = S.m_matrix(v), S.n_matrix(u)
-        g1, g2 = Mm @ Mm.T, Nm @ Nm.T
-    off = P.A + S.h_offdiag(u, v)
-    if sp.issparse(P.A) and not P.use_dense_newton:
+        R = S.project_rank1(u, v)
+    Rt = R.T
+
+    def K(x):
+        x1, x2 = x[:m], x[m:N]
         if S.diagonal_gram:
-            g1, g2 = sp.diags_array(g1), sp.diags_array(g2)
-        c = sp.csr_array(v[:, None])
-        return sp.block_array([[g1, off, None], [off.T, g2, c], [None, c.T, None]],
-                              format="csr")
-    K = np.zeros((N + 1, N + 1))
-    if S.diagonal_gram:
-        K[np.arange(N), np.arange(N)] = np.concatenate([g1, g2])
-    else:
-        K[:m, :m], K[m:N, m:N] = g1, g2
-    off = as_dense(off)
-    K[:m, m:N] = off
-    K[m:N, :m] = off.T
-    K[m:N, N] = K[N, m:N] = v
+            y1, y2 = g1 * x1, g2 * x2
+        else:
+            w = S.apply_mt(v, x1) + S.apply_nt(u, x2)
+            y1, y2 = S.apply_m(v, w), S.apply_n(u, w)
+        y1 += P.matvec(x2) + R @ x2
+        y2 += P.rmatvec(x1) + Rt @ x1 + x[N] * v
+        return np.concatenate([y1, y2, [v @ x2]])
     return K
 
 
@@ -272,11 +281,11 @@ def newton_step(P: ProblemInstance, state: SolverState):
     The system is [[H, c], [c^T, 0]] [du; dv; lam] = [-G; 0] with
     c = [0; v]: the border row asks v . dv = 0, which removes the gauge
     direction (u, -v) from the step, and lam is discarded. Both paths
-    assemble the bordered matrix once, through ``bordered_jacobian``.
-    Problems on the dense path (``P.use_dense_newton``) solve it with the
-    direct solver and its minimum-norm fallback (``inner`` is None). The
-    others solve it through GCROT(m, k) to a true relative residual of at
-    most ``INNER_TOL``, starting from zero and
+    build the bordered matrix once, through ``bordered_jacobian``.
+    Problems on the dense path (``P.use_dense_newton``) solve the array it
+    returns with the direct solver and its minimum-norm fallback (``inner``
+    is None). The others apply it block by block in GCROT(m, k) to a true
+    relative residual of at most ``INNER_TOL``, starting from zero and
     right-preconditioned by the inverse of blockdiag([[0, A], [A^T, 0]], 1)
     (H's leading part while u and Delta are small), which maps
     [x1; x2; x_N] to [A^-T x2; A^-1 x1; x_N] through two solves with the
@@ -300,7 +309,7 @@ def newton_step(P: ProblemInstance, state: SolverState):
         def precond(x):
             return np.concatenate([solve_lu(x[m:N], trans=True), solve_lu(x[:m]), x[N:]])
 
-    it = linalg.solve_symmetric_iterative(lambda x: K @ x, rhs, INNER_TOL, precond)
+    it = linalg.solve_symmetric_iterative(K, rhs, INNER_TOL, precond)
     return it.x[:m], it.x[m:N], it
 
 

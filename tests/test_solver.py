@@ -1,6 +1,7 @@
 """Newton solver: residuals, curvature operator, line search, multistart."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ import scipy.sparse.linalg as spla
 
 from singdist import (
     AllStartsFailed,
+    BasisStructure,
     DimensionMismatchError,
     FullStructure,
     ProblemInstance,
@@ -111,26 +113,39 @@ def test_residual_G_beta_is_gradient_of_F_beta():
     assert order >= 1.9, f"observed order {order}"
 
 
-def test_apply_H_beta_linearity_and_fd():
-    # the leading block of the bordered Jacobian is the derivative of G
+def as_matrix(K, size):
+    """K as an array: the dense route's array, or the Krylov route's product applied to I."""
+    if isinstance(K, np.ndarray):
+        return K
+    return np.column_stack([K(e) for e in np.eye(size)])
+
+
+def test_apply_H_beta_linearity_and_fd(monkeypatch):
+    # the leading block of the bordered Jacobian is the derivative of G, on
+    # both routes, for diagonal Gram blocks and for a general basis
     rng = np.random.default_rng(24)
     A, S = pattern_instance(rng, n=6)
-    P = ProblemInstance(A, S)
+    structures = (S, S.to_basis(), random_orthonormal_basis(rng, 6, 6, 9))
     u = rng.standard_normal(6)
     v = rng.standard_normal(6)
-    K = bordered_jacobian(P, u, v)
-    assert K.shape == (13, 13)
-    assert np.array_equal(K[:12, 12], np.concatenate([np.zeros(6), v]))
-    assert np.array_equal(K[12], np.append(K[:12, 12], 0.0))
     w = rng.standard_normal(12)
-    Hw = K[:12, :12] @ w
-    errs = []
-    for h in (1e-3, 1e-4):
-        fd = (residual_G(P, u + h * w[:6], v + h * w[6:])
-              - residual_G(P, u - h * w[:6], v - h * w[6:])) / (2 * h)
-        errs.append(np.linalg.norm(fd - Hw))
-    order = np.log10(errs[0] / errs[1])
-    assert order >= 1.9, f"observed order {order}"
+    for threshold in (solver.DENSE_THRESHOLD, 0):
+        monkeypatch.setattr(solver, "DENSE_THRESHOLD", threshold)
+        for S in structures:
+            P = ProblemInstance(A, S)
+            assert P.use_dense_newton == (threshold > 0)
+            K = as_matrix(bordered_jacobian(P, u, v), 13)
+            assert K.shape == (13, 13)
+            assert np.array_equal(K[:12, 12], np.concatenate([np.zeros(6), v]))
+            assert np.array_equal(K[12], np.append(K[:12, 12], 0.0))
+            Hw = K[:12, :12] @ w
+            errs = []
+            for h in (1e-3, 1e-4):
+                fd = (residual_G(P, u + h * w[:6], v + h * w[6:])
+                      - residual_G(P, u - h * w[:6], v - h * w[6:])) / (2 * h)
+                errs.append(np.linalg.norm(fd - Hw))
+            order = np.log10(errs[0] / errs[1])
+            assert order >= 1.9, f"{S}, threshold {threshold}: observed order {order}"
 
 
 def test_apply_H_beta_known_matrix():
@@ -151,8 +166,8 @@ def test_apply_H_beta_known_matrix():
 
 
 def test_krylov_route_jacobian_equals_dense_route_jacobian(monkeypatch):
-    # both routes build K from the same blocks: entry for entry the same
-    # matrix, CSR on the Krylov route for sparse A and dense otherwise
+    # the Krylov route's block-by-block product is the dense route's array:
+    # an ndarray on the dense route, a callable never formed on the Krylov one
     rng = np.random.default_rng(25)
     cases = []
     for m, n in ((6, 6), (5, 7), (7, 4)):
@@ -174,12 +189,33 @@ def test_krylov_route_jacobian_equals_dense_route_jacobian(monkeypatch):
         P = ProblemInstance(A, S)
         assert not P.use_dense_newton
         K = bordered_jacobian(P, u, v)
-        assert isinstance(K_dense, np.ndarray)
-        if sp.issparse(A):
-            assert isinstance(K, sp.csr_array)
-        else:
-            assert isinstance(K, np.ndarray)
-        assert np.array_equal(as_dense(K), K_dense), (A.shape, S, type(A))
+        assert isinstance(K_dense, np.ndarray) and callable(K)
+        size = P.m + P.n + 1
+        np.testing.assert_allclose(as_matrix(K, size), K_dense, rtol=0, atol=1e-13,
+                                   err_msg=f"{A.shape} {S} {type(A)}")
+
+
+def test_krylov_route_memory_follows_the_basis(monkeypatch):
+    # a 2,000 x 2,000 banded A with a 7-diagonal basis: one Krylov Newton
+    # step allocates far less than one m x m array (32 MB), because the
+    # Gram blocks and M N^T stay operators
+    m = 2000
+    A = sp.diags_array([np.full(m - 1, -1.0), np.full(m, 4.0), np.full(m - 1, -1.0)],
+                       offsets=[-1, 0, 1], format="csr")
+    S = BasisStructure([sp.diags_array(np.full(m - abs(k), 1.0 / np.sqrt(m - abs(k))),
+                                       offsets=k, shape=(m, m)) for k in range(-3, 4)])
+    P = ProblemInstance(A, S)
+    assert not P.use_dense_newton and P.factor is not None
+    rng = np.random.default_rng(27)
+    state = SolverState.at(P, 0.01 * rng.standard_normal(m), rng.standard_normal(m))
+    tracemalloc.start()
+    try:
+        du, dv, inner = newton_step(P, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inner.iterations > 0 and np.isfinite(du).all() and np.isfinite(dv).all()
+    assert peak < 8 * m * m / 10, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_H_beta_symmetry():
@@ -454,10 +490,12 @@ def test_each_newton_step_builds_the_jacobian_once(monkeypatch):
 
 def test_krylov_newton_step_meets_inner_tol(monkeypatch):
     # the true relative residual of every inexact Newton step, measured
-    # against the assembled bordered matrix [[H, c], [c^T, 0]], c = [0; v],
+    # against the dense route's bordered matrix [[H, c], [c^T, 0]], c = [0; v],
     # is within the forcing term, along several accepted steps of one run
     A = sparse_instance(80, 40)
     rng = np.random.default_rng(41)
+    dense = ProblemInstance(A)
+    assert dense.use_dense_newton
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
     for inner_tol in (1e-2, 1e-6):
         monkeypatch.setattr(solver, "INNER_TOL", inner_tol)
@@ -467,7 +505,7 @@ def test_krylov_newton_step_meets_inner_tol(monkeypatch):
             state = SolverState.at(P, start.u0 + scale * rng.standard_normal(80), start.v0)
             for step in range(4):
                 du, dv, inner = newton_step(P, state)
-                K = bordered_jacobian(P, state.u, state.v)
+                K = bordered_jacobian(dense, state.u, state.v)
                 assert np.array_equal(inner.x[:160], np.concatenate([du, dv]))
                 true = np.linalg.norm(K @ inner.x + np.append(state.residual, 0.0))
                 assert true <= inner_tol * state.residual_norm

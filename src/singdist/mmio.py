@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from .errors import InputError
 from .gcd import PolynomialPair
-from .structure import BasisStructure, SparsityPattern
+from .structure import BasisStructure, SparsityPattern, as_dense
 
 __all__ = [
     "read_matrix",
@@ -42,14 +42,13 @@ def _read_mm(path):
 
 
 def read_matrix(path) -> np.ndarray | sp.csr_array:
-    """Read a Matrix Market file as a float ndarray (array format) or csr_array."""
+    """Read a real Matrix Market file as a float ndarray (array format) or csr_array."""
     M = _read_mm(path)
+    if np.iscomplexobj(M):
+        raise InputError(f"{path!r} holds complex values; only real matrices are supported")
     if sp.issparse(M):
         return sp.csr_array(M).astype(float)
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise InputError(f"{path!r} does not contain a matrix")
-    return M
+    return np.asarray(M, dtype=float)
 
 
 def write_matrix(path, A, comment: str = "") -> None:
@@ -109,11 +108,8 @@ def write_basis(directory, structure: BasisStructure) -> None:
 
 def read_vector(path) -> np.ndarray:
     """Read a vector stored as an n-by-1 (or 1-by-n) Matrix Market array."""
-    M = read_matrix(path)
-    if sp.issparse(M):
-        M = M.toarray()
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or 1 not in M.shape:
+    M = as_dense(read_matrix(path))
+    if 1 not in M.shape:
         raise InputError(f"{path!r} is not a vector (need an n-by-1 array)")
     return M.ravel()
 
@@ -149,7 +145,7 @@ def read_polynomial_pair(path) -> PolynomialPair:
             raise InputError(f"bad coefficient in {path!r}: {exc}") from exc
     try:
         return PolynomialPair.from_coefficients(p, q)
-    except InputError as exc:
+    except (InputError, TypeError, ValueError) as exc:
         raise InputError(f"{path!r}: {exc}") from exc
 
 

@@ -91,7 +91,7 @@ def evaluate(P: ProblemInstance, v, eps: float) -> OracleEval:
     f_value = float(r @ u)
     delta_coords = S.apply_mt(v, u)
     Delta = S.project_rank1(u, v)
-    grad_v = P.rmatvec(u) + S.apply_n(u, S.apply_nt(u, v))
+    grad_v = P.rmatvec(u) + S.apply_n(u, delta_coords)
     return OracleEval(
         f_value=f_value,
         u=u,

@@ -184,12 +184,13 @@ class ProblemInstance:
 def residual_G(P: ProblemInstance, u, v):
     """Stacked residual [(A+Delta)v; (A+Delta)^T u], Delta = project_rank1(u, v).
 
-    Uses the exact identities Delta v = M M^T u and Delta^T u = N N^T v, so
-    no matrix is materialized.
+    Delta's coordinates d = M(v)^T u = N(u)^T v serve both halves, through
+    Delta v = M d and Delta^T u = N d, so no matrix is materialized.
     """
     S = P.structure
-    r1 = P.matvec(v) + S.apply_m(v, S.apply_mt(v, u))
-    r2 = P.rmatvec(u) + S.apply_n(u, S.apply_nt(u, v))
+    d = S.apply_mt(v, u)
+    r1 = P.matvec(v) + S.apply_m(v, d)
+    r2 = P.rmatvec(u) + S.apply_n(u, d)
     return np.concatenate([r1, r2])
 
 
@@ -199,7 +200,7 @@ def residual_G_beta(P: ProblemInstance, u, v):
     Returns ``(u, v, G)`` with ||v|| = 1. A point whose v is zero or whose
     entries are not finite has no representative; its G is NaN, which no
     line search accepts. The name is kept for the benchmark's
-    ``solver.residual`` hook (``perfbench/tracing.py``) until ROADMAP item 4
+    ``solver.residual`` hook (``perfbench/tracing.py``) until ROADMAP item 5
     renames both.
     """
     u = np.asarray(u, dtype=float)
@@ -215,13 +216,13 @@ def bordered_jacobian(P: ProblemInstance, u, v):
     """The bordered Jacobian K = [[H, c], [c^T, 0]] of G at (u, v), c = [0; v].
 
     H = [[M M^T, B], [B^T, N N^T]] with M = M(v), N = N(u) and
-    B = A + ``h_offdiag(u, v)`` = A + R + M N^T, R = ``project_rank1(u, v)``;
-    K is symmetric. On the dense path K is an ndarray filled in place. On
-    the Krylov path it is the product x -> K x, applied block by block so
-    that memory follows A and the structure, never (m + n)^2: a pattern
-    uses its Gram diagonals and the CSR ``h_offdiag``, a general basis the
-    maps M and N, H [x1; x2] = [(A + R) x2 + M w; (A + R)^T x1 + N w] with
-    w = M^T x1 + N^T x2.
+    B = A + R + M N^T, R = ``project_rank1(u, v)``; K is symmetric. On the
+    dense path K is an ndarray filled in place, a pattern's blocks from its
+    Gram kernel (``gram_diagonals``, ``h_offdiag``), a basis's from one
+    ``m_matrix`` and one ``n_matrix``. On the Krylov path it is x -> K x,
+    applied block by block so that memory follows A and the structure: a
+    pattern uses its Gram kernel, a basis the maps, H [x1; x2] =
+    [(A + R) x2 + M w; (A + R)^T x1 + N w] with w = M^T x1 + N^T x2.
     """
     S = P.structure
     m, N = P.m, P.m + P.n
@@ -231,10 +232,12 @@ def bordered_jacobian(P: ProblemInstance, u, v):
         K = np.zeros((N + 1, N + 1))
         if S.diagonal_gram:
             K[np.arange(N), np.arange(N)] = np.concatenate(S.gram_diagonals(u, v))
+            off = S.h_offdiag(u, v)
         else:
             Mm, Nm = S.m_matrix(v), S.n_matrix(u)
             K[:m, :m], K[m:N, m:N] = Mm @ Mm.T, Nm @ Nm.T
-        off = as_dense(P.A + S.h_offdiag(u, v))
+            off = Mm @ Nm.T + S.project_rank1(u, v)
+        off = as_dense(P.A + off)
         K[:m, m:N], K[m:N, :m] = off, off.T
         K[m:N, N] = K[N, m:N] = v
         return K
@@ -474,9 +477,10 @@ def starting_values(P: ProblemInstance, K: int | None = None, triplets=None):
 
     For each triplet, sigma_hat = sigma / ||project_rank1(u_k, v_k)||_F^2
     scales u_0 = -sigma_hat u_k so that A + Delta_0 is orthogonal to
-    u_k v_k^T. Triplets whose projected rank-1 direction nearly vanishes
-    cannot seed a perturbation and are skipped with a warning. ``triplets``
-    are the K smallest triplets when the caller has them already.
+    u_k v_k^T; the norm is read off its coordinates M(v_k)^T u_k. Triplets
+    whose projected rank-1 direction nearly vanishes cannot seed a
+    perturbation and are skipped with a warning. ``triplets`` are the K
+    smallest triplets when the caller has them already.
     """
     if K is None:
         K = P.options.multistart
@@ -486,7 +490,8 @@ def starting_values(P: ProblemInstance, K: int | None = None, triplets=None):
     trips = triplets if triplets is not None else P.singular_triplets(K)[0]
     out = []
     for k, (sigma, uk, vk) in enumerate(trips, start=1):
-        pn = linalg.frobenius_norm(P.structure.project_rank1(uk, vk))
+        # summed in numpy: np.linalg.norm's threaded BLAS dot stalls after the SVD
+        pn = math.sqrt(np.square(P.structure.apply_mt(vk, uk)).sum())
         if pn < START_PROJECTION_TOL:
             warnings.warn(
                 f"start {k}: structure nearly orthogonal to the rank-1 direction; skipped",

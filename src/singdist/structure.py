@@ -17,11 +17,14 @@ projection ``project``, the projected rank-1 map
     N(u): R^p -> R^n,  columns B_k^T u
 
 which appear throughout the residual and curvature formulas of the solver.
-Each is the pattern kernel on the E entries composed with V (entry values
+Each is an entry-wise kernel on the E entries composed with V (entry values
 to coordinates) or V^T (coordinates to entry values), so time and memory
-follow E and the nonzeros of V, never m n. Pattern Gram blocks M M^T and
-N N^T are diagonal (``gram_diagonals``); a general basis has dense ones,
-assembled from ``m_matrix`` and ``n_matrix``.
+follow E and the nonzeros of V, never m n. Delta = project_rank1(u, v) has
+coordinates delta = M(v)^T u = N(u)^T v, one vector for both
+Delta v = M delta and Delta^T u = N delta. The curvature blocks come from
+two Gram kernels, each used whole: the pattern kernel (``gram_diagonals``,
+``h_offdiag``) only where ``diagonal_gram`` holds, and the factor kernel
+(``m_matrix``, ``n_matrix`` and the maps) for every basis.
 """
 
 from __future__ import annotations
@@ -75,11 +78,8 @@ class LinearStructure:
     read-only; instances are immutable after construction and safe to share
     between concurrent solves.
 
-    ``diagonal_gram`` says which of the two Gram-block kernels a structure
-    uses: True when M(v) M(v)^T and N(u) N(u)^T are diagonal for every u, v
-    (every sparsity pattern, the full one included), so ``gram_diagonals``
-    gives them; False for a general basis, whose Gram blocks are formed
-    from ``m_matrix`` and ``n_matrix``.
+    ``diagonal_gram`` is True where M(v) M(v)^T and N(u) N(u)^T are diagonal
+    for every u, v, so the pattern kernel holds: on every sparsity pattern.
     """
 
     diagonal_gram = False
@@ -182,8 +182,8 @@ class LinearStructure:
     def gram_diagonals(self, u, v):
         """Diagonals of M(v) M(v)^T and N(u) N(u)^T.
 
-        Defined only where ``diagonal_gram`` is True; any other structure
-        raises ``StructureError``.
+        Pattern kernel: defined only where ``diagonal_gram`` is True; any
+        other structure raises ``StructureError``.
         """
         if not self.diagonal_gram:
             raise StructureError(f"{type(self).__name__} has no diagonal Gram matrices")
@@ -195,25 +195,23 @@ class LinearStructure:
     def h_offdiag(self, u, v):
         """The off-diagonal curvature block ``project_rank1(u, v) + M(v) N(u)^T``.
 
-        On a pattern M N^T is the projected rank-1 matrix itself, so the
-        block is twice it, as CSR; a general basis gives a dense array.
+        Pattern kernel: M N^T is the projected rank-1 matrix itself, so the
+        block is twice it, as CSR. Like ``gram_diagonals``, it raises
+        ``StructureError`` where ``diagonal_gram`` is False; a general basis
+        forms the block from its factor kernel, ``m_matrix`` and ``n_matrix``.
         """
+        if not self.diagonal_gram:
+            raise StructureError(f"{type(self).__name__} has no pattern off-diagonal block")
         u, v = self._uv(u, v)
-        w = u[self.rows] * v[self.cols]
-        if self._V is None:
-            return self._member(2.0 * w)
-        M = self._gram_factor(self.rows, self.shape[0], v[self.cols])
-        out = M @ self._gram_factor(self.cols, self.shape[1], u[self.rows]).T
-        out[self.rows, self.cols] += self._values(self._coords(w))
-        return out
+        return self._member(2.0 * (u[self.rows] * v[self.cols]))
 
     def m_matrix(self, v):
-        """Dense m x p assembly of M(v); intended for small problems and tests."""
+        """Dense m x p assembly of M(v), for the dense Newton step and the oracle."""
         v = _as_vector(v, self.shape[1], "v")
         return self._gram_factor(self.rows, self.shape[0], v[self.cols])
 
     def n_matrix(self, u):
-        """Dense n x p assembly of N(u); intended for small problems and tests."""
+        """Dense n x p assembly of N(u), for the dense Newton step."""
         u = _as_vector(u, self.shape[0], "u")
         return self._gram_factor(self.cols, self.shape[1], u[self.rows])
 

@@ -4,9 +4,12 @@ All randomness flows through numpy Generators seeded at the call site, so
 every test is reproducible from its literal seed.
 """
 
+import collections
+
 import numpy as np
 
-from singdist import BasisStructure, SparsityPattern
+from singdist import BasisStructure, FullStructure, SparsityPattern
+from singdist.structure import LinearStructure
 
 
 def random_pattern(rng, m, n, density=0.5):
@@ -42,3 +45,15 @@ def random_orthonormal_basis(rng, m, n, dim):
     V = rng.standard_normal((m * n, dim))
     Q, _ = np.linalg.qr(V)
     return BasisStructure([Q[:, i].reshape(m, n) for i in range(dim)])
+
+
+def count_structure_calls(monkeypatch, names):
+    """A Counter of calls to the named structure operators, on every class defining one."""
+    calls = collections.Counter()
+    for cls in (LinearStructure, FullStructure):
+        for name in set(names) & set(vars(cls)):
+            def counting(self, *args, _op=vars(cls)[name], _name=name):
+                calls[_name] += 1
+                return _op(self, *args)
+            monkeypatch.setattr(cls, name, counting)
+    return calls

@@ -59,7 +59,7 @@ def test_each_structure_op_records_one_span_and_uninstall_restores_classes():
             assert set(args) == set(tracing.STRUCTURE_OPS)
             for op in tracing.STRUCTURE_OPS:
                 first = len(tracer.spans)
-                if op == "gram_diagonals" and not S.diagonal_gram:
+                if op in ("gram_diagonals", "h_offdiag") and not S.diagonal_gram:
                     with pytest.raises(StructureError):
                         getattr(S, op)(*args[op])
                 else:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 from singdist import BasisStructure
 from singdist.gcd import make_test_polynomials
@@ -103,6 +105,20 @@ def test_solve_input_errors(tmp_path, capsys):
     for grad_tol in ("inf", "nan"):
         assert run(["solve", mat, "--grad-tol", grad_tol]) == 1
         assert capsys.readouterr().err == "error: grad_tol must be positive and finite\n"
+
+
+def test_complex_input_exits_1(tmp_path, capsys):
+    # a complex matrix or kernel vector is refused, not solved or certified
+    # on its real part
+    mat = tmp_path / "z.mtx"
+    scipy.io.mmwrite(mat, sp.coo_array(np.array([[1 + 2j, 0], [0, 3]])))
+    assert run(["solve", mat]) == 1
+    assert "complex" in capsys.readouterr().err
+    real, delta, v = write_diag(tmp_path, (1.0, 1.0)), tmp_path / "d.mtx", tmp_path / "v.mtx"
+    write_matrix(delta, np.diag([0.0, -1.0]))
+    scipy.io.mmwrite(v, np.array([[0], [1 + 1j]]))
+    assert run(["certify", real, delta, v, "--full"]) == 1
+    assert "complex" in capsys.readouterr().err
 
 
 def test_solve_singular_input_reports_zero(tmp_path):
@@ -222,6 +238,14 @@ def test_gcd_identical_pair_from_file(tmp_path):
     rep = load_report(out)
     assert rep["results"][0]["distance"] <= 1e-12
     assert rep["results"][0]["reliable"] is False
+
+
+def test_gcd_poly_with_non_numeric_coefficients_exits_1(tmp_path, capsys):
+    poly = tmp_path / "f.json"
+    poly.write_text('{"p": {"a": 1}, "q": [1, 2]}')
+    assert run(["gcd", "--poly", poly, "--d", 1]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "f.json" in err and "Traceback" not in err
 
 
 def test_gcd_bad_degree(capsys):

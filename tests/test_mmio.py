@@ -95,6 +95,24 @@ def test_read_vector_rejects_matrix(tmp_path):
         read_vector(path)
 
 
+@pytest.mark.parametrize("kind", ["coordinate", "array", "vector", "basis"])
+def test_complex_input_is_refused(tmp_path, kind):
+    # complex data is refused as bad input, never cut to its real part
+    Z = {"coordinate": sp.coo_array(np.array([[1 + 2j, 0], [0, 3]])),
+         "array": np.array([[1 + 2j, 0], [0, 3]]),
+         "vector": np.array([[0], [1 + 1j]]),
+         "basis": sp.coo_array(np.array([[1j, 0], [0, 0]]))}[kind]
+    path = tmp_path / "z.mtx"
+    scipy.io.mmwrite(path, Z)
+    read = {"coordinate": read_matrix, "array": read_matrix, "vector": read_vector,
+            "basis": read_basis}[kind]
+    if kind == "basis":
+        (tmp_path / "manifest.json").write_text('["z.mtx"]')
+        path = tmp_path
+    with pytest.raises(InputError, match="complex"):
+        read(path)
+
+
 def test_basis_roundtrip(tmp_path):
     rng = np.random.default_rng(61)
     S = random_orthonormal_basis(rng, 3, 4, 5)
@@ -148,3 +166,8 @@ def test_polynomial_file_errors(tmp_path):
     one_line.write_text("1 2 3\n")
     with pytest.raises(InputError):
         read_polynomial_pair(one_line)
+    # coefficients that are not a list of numbers are bad input, named by file
+    for p in ('{"a": 1}', '["x", 1]', '[1, [2, 3]]'):
+        bad.write_text(f'{{"p": {p}, "q": [1, 2]}}')
+        with pytest.raises(InputError, match="bad.json"):
+            read_polynomial_pair(bad)

@@ -15,7 +15,7 @@ from singdist import (
 )
 from singdist.oracle import evaluate
 from singdist.structure import as_dense
-from conftest import pattern_instance, random_orthonormal_basis
+from conftest import count_structure_calls, pattern_instance, random_orthonormal_basis
 
 
 def brute_force_eval(A, S, v, eps):
@@ -75,6 +75,20 @@ def test_matches_brute_force_on_basis_structure():
     f_ref, delta_ref = brute_force_eval(A, S, v, eps)
     assert abs(ev.f_value - f_ref) <= 1e-8 * (1 + abs(f_ref))
     assert np.linalg.norm(ev.delta - delta_ref) <= 1e-8 * (1 + np.linalg.norm(delta_ref))
+
+
+def test_evaluate_takes_the_gradient_from_delta_coordinates(monkeypatch):
+    # grad_v = A^T u + N(u) delta reuses the coordinates delta = M(v)^T u
+    rng = np.random.default_rng(46)
+    A = rng.standard_normal((6, 5))
+    v = rng.standard_normal(5)
+    v /= np.linalg.norm(v)
+    calls = count_structure_calls(monkeypatch, ("apply_mt", "apply_n", "apply_nt"))
+    for S in (FullStructure(6, 5), random_orthonormal_basis(rng, 6, 5, 9)):
+        calls.clear()
+        ev = evaluate(ProblemInstance(A, S), v, 1e-10)
+        assert dict(calls) == {"apply_mt": 1, "apply_n": 1}
+        assert np.allclose(ev.grad_v, (A + as_dense(ev.Delta)).T @ ev.u, atol=1e-10)
 
 
 def test_eval_invariant_and_rank1_identity():

@@ -32,7 +32,12 @@ from singdist.solver import (
     starting_values,
 )
 from singdist.structure import as_dense
-from conftest import pattern_instance, random_orthonormal_basis
+from conftest import (
+    count_structure_calls,
+    pattern_instance,
+    random_orthonormal_basis,
+    random_pattern,
+)
 
 
 def full_instance(A, **kw):
@@ -73,6 +78,22 @@ def test_residual_G_matches_dense_delta():
         g = residual_G(P, u, v)
         assert np.allclose(g[:7], (A + D) @ v, atol=1e-12)
         assert np.allclose(g[7:], (A + D).T @ u, atol=1e-12)
+
+
+def test_residual_computes_delta_coordinates_once(monkeypatch):
+    # both halves of G share delta = M(v)^T u = N(u)^T v: one residual makes
+    # one call each to apply_mt, apply_m and apply_n, and none to apply_nt
+    rng = np.random.default_rng(23)
+    A = rng.standard_normal((5, 4))
+    u, v = rng.standard_normal(5), rng.standard_normal(4)
+    calls = count_structure_calls(monkeypatch, ("apply_m", "apply_mt", "apply_n", "apply_nt"))
+    for S in (FullStructure(5, 4), random_pattern(rng, 5, 4)[0],
+              random_orthonormal_basis(rng, 5, 4, 7)):
+        calls.clear()
+        g = residual_G(ProblemInstance(A, S), u, v)
+        assert dict(calls) == {"apply_mt": 1, "apply_m": 1, "apply_n": 1}
+        D = as_dense(S.project_rank1(u, v))
+        assert np.allclose(g, np.concatenate([(A + D) @ v, (A + D).T @ u]), atol=1e-12)
 
 
 def test_residual_G_beta_rescales_to_unit_v():
@@ -323,6 +344,24 @@ def test_starting_values_full_structure():
     assert abs(np.vdot(A + delta0, np.outer(un, vn))) <= 1e-12
 
 
+def test_starting_values_take_the_norm_of_delta_coordinates(monkeypatch):
+    # sigma_hat divides by ||project_rank1(u_k, v_k)||^2, read off the
+    # coordinates M(v_k)^T u_k without building the projection
+    rng = np.random.default_rng(24)
+    A = rng.standard_normal((6, 5))
+    for S in (FullStructure(6, 5), random_pattern(rng, 6, 5)[0],
+              random_orthonormal_basis(rng, 6, 5, 9)):
+        P = ProblemInstance(A, S)
+        trips = P.singular_triplets(3)[0]
+        calls = count_structure_calls(monkeypatch, ("project_rank1",))
+        starts = starting_values(P, 3, trips)
+        assert calls["project_rank1"] == 0
+        monkeypatch.undo()
+        for (sigma, uk, vk), s in zip(trips, starts):
+            pn = np.linalg.norm(as_dense(S.project_rank1(uk, vk)))
+            assert abs(s.sigma_hat - sigma / pn**2) <= 1e-12 * s.sigma_hat
+
+
 def test_starting_values_single_entry_pattern():
     A = np.diag([3.0, 1.0])
     S = SparsityPattern(2, 2, [(1, 1)])
@@ -486,6 +525,25 @@ def test_each_newton_step_builds_the_jacobian_once(monkeypatch):
         assert res.converged and res.iterations > 0
         assert len(steps) == res.iterations
         assert built == list(range(1, len(steps) + 1))
+
+
+def test_dense_route_builds_each_gram_factor_once(monkeypatch):
+    # a basis fills all of H from one m_matrix and one n_matrix and never
+    # calls the pattern kernel; a pattern uses the pattern kernel alone
+    rng = np.random.default_rng(25)
+    A = rng.standard_normal((5, 6))
+    ops = ("m_matrix", "n_matrix", "gram_diagonals", "h_offdiag", "project_rank1")
+    calls = count_structure_calls(monkeypatch, ops)
+    u, v = rng.standard_normal(5), rng.standard_normal(6)
+    cases = ((random_orthonormal_basis(rng, 5, 6, 8),
+              {"m_matrix": 1, "n_matrix": 1, "project_rank1": 1}),
+             (random_pattern(rng, 5, 6)[0], {"gram_diagonals": 1, "h_offdiag": 1}))
+    for S, expected in cases:
+        P = ProblemInstance(A, S)
+        assert P.use_dense_newton
+        calls.clear()
+        bordered_jacobian(P, u, v)
+        assert dict(calls) == expected
 
 
 def test_krylov_newton_step_meets_inner_tol(monkeypatch):

@@ -157,7 +157,11 @@ def test_apply_mn_match_dense_assembly():
         assert np.allclose(S.apply_n(u, x), N @ x, atol=1e-13)
         assert np.allclose(S.apply_nt(u, z), N.T @ z, atol=1e-13)
         assert np.allclose(as_dense(S.project_rank1(u, v)), delta, atol=1e-13)
-        assert np.allclose(as_dense(S.h_offdiag(u, v)), delta + M @ N.T, atol=1e-12)
+        if S.diagonal_gram:
+            off = as_dense(S.h_offdiag(u, v))
+        else:  # a basis forms the block from its factor kernel
+            off = as_dense(S.project_rank1(u, v)) + S.m_matrix(v) @ S.n_matrix(u).T
+        assert np.allclose(off, delta + M @ N.T, atol=1e-12)
         assert np.allclose(S.project(X), PX, atol=1e-13)
         projected = S.project(sp.csr_array(X))
         assert sp.issparse(projected) and np.allclose(as_dense(projected), PX, atol=1e-13)
@@ -211,6 +215,14 @@ def test_gram_diagonals_raises_for_general_basis():
         S.gram_diagonals(np.zeros(3), np.ones(3))
 
 
+def test_h_offdiag_raises_for_general_basis():
+    # the pattern kernel is used whole: a basis has neither of its operators
+    rng = np.random.default_rng(7)
+    S = random_orthonormal_basis(rng, 3, 3, 4)
+    with pytest.raises(StructureError):
+        S.h_offdiag(np.ones(3), np.ones(3))
+
+
 def test_rank1_gram_identities():
     # project_rank1(u,v) v = M M^T u and project_rank1(u,v)^T u = N N^T v
     rng = np.random.default_rng(8)
@@ -241,11 +253,13 @@ def _assert_same_operators(S, T, rng):
     k1, k2 = S.gram_diagonals(u, v)
     if T.diagonal_gram:
         t1, t2 = T.gram_diagonals(u, v)
+        t_off = as_dense(T.h_offdiag(u, v))
     else:
-        t1 = np.diag(T.m_matrix(v) @ T.m_matrix(v).T)
-        t2 = np.diag(T.n_matrix(u) @ T.n_matrix(u).T)
+        Mm, Nm = T.m_matrix(v), T.n_matrix(u)
+        t1, t2 = np.diag(Mm @ Mm.T), np.diag(Nm @ Nm.T)
+        t_off = as_dense(T.project_rank1(u, v)) + Mm @ Nm.T
     assert np.allclose(k1, t1, atol=1e-13) and np.allclose(k2, t2, atol=1e-13)
-    assert np.allclose(as_dense(S.h_offdiag(u, v)), as_dense(T.h_offdiag(u, v)), atol=1e-13)
+    assert np.allclose(as_dense(S.h_offdiag(u, v)), t_off, atol=1e-13)
 
 
 def test_pattern_equals_elementary_basis_expansion():

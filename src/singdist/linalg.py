@@ -77,7 +77,12 @@ TRIPLET_RESIDUAL_TOL = 1e-10
 #: Lanczos basis size of ``spectral_norm``. sigma_max agrees with ARPACK's
 #: default basis of 20 vectors to rounding, and on 2,100-row sparse inputs
 #: the set-up that follows in the same process ran in 20 ms instead of
-#: 31 ms (sparse-krylov benchmark, 2 vCPUs).
+#: 31 ms (sparse-krylov benchmark, 2 vCPUs). The default basis is up to 10x
+#: faster per call on dense A whose top singular values cluster (n >= 1,500),
+#: but without this constant the benchmark's set-up time read 0.023-0.033 s
+#: instead of 0.016-0.017 s on sparse-krylov and 15-20% higher on
+#: sparse-direct, past or near its 25% bound; it stays until the benchmark
+#: can resolve set-up time.
 SPECTRAL_NORM_NCV = 4
 
 

@@ -72,14 +72,14 @@ MAX_BACKTRACKS = 40
 
 #: problems with at most this many total unknowns (m + n), dense or sparse,
 #: assemble H densely and take the full SVD for their triplets and
-#: certificate; larger square ones are LU-factored once. It lies above the
-#: measured crossovers to the Krylov path so that small, hard problems keep
-#: the dense solve and its least-squares fallback: a whole solve on the
-#: Krylov path overtakes the dense one from about m + n = 250 for sparse
-#: input (random with 5 entries per row, or 7-diagonal banded) and about
-#: 400 for dense input with a 40% pattern, still mixed up to 600 (bordered
-#: Newton, one GCROT solve from zero per step, 2 BLAS threads).
-DENSE_THRESHOLD = 1000
+#: certificate; larger square ones are LU-factored once. It is the measured
+#: crossover: a whole solve on the Krylov path beats the dense one from
+#: m + n = 300 on for sparse random (5 entries per row), 7-diagonal banded
+#: and dense 40%-pattern input, and loses at m + n = 200 on banded input
+#: (bordered Newton, one GCROT solve from zero per step, 2 BLAS threads;
+#: BENCH_dense_threshold.json). Smaller and rectangular problems keep the
+#: dense solve and its least-squares fallback.
+DENSE_THRESHOLD = 300
 
 #: forcing term of the Krylov path: the true relative residual every inner
 #: GCROT solve reaches; tighter values cost time, not accuracy

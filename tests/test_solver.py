@@ -515,10 +515,10 @@ def test_each_newton_step_builds_the_jacobian_once(monkeypatch):
     monkeypatch.setattr(solver, "bordered_jacobian", counting_jacobian)
     monkeypatch.setattr(solver, "newton_step", counting_step)
     A = sparse_instance(40, 49)
-    for threshold in (1000, 50):
+    for threshold in (max(solver.DENSE_THRESHOLD, 80), 0):
         monkeypatch.setattr(solver, "DENSE_THRESHOLD", threshold)
         P = ProblemInstance(A)
-        assert P.use_dense_newton == (threshold == 1000)
+        assert P.use_dense_newton == (threshold > 0)
         built.clear()
         steps.clear()
         res = solve(P)
@@ -732,6 +732,44 @@ def test_rectangular_sparse_input_routing(monkeypatch):
     assert abs(krylov.distance - dense.distance) <= 1e-10 * dense.distance
     assert krylov.sigma_error == ""
     assert_sigma_bound(A, krylov)
+
+
+def test_route_boundary_is_the_dense_threshold():
+    # one rule routes every input, whatever its storage: a square A with
+    # m + n at DENSE_THRESHOLD takes the dense route with no LU and exact
+    # certificate sigmas, one size above it takes its LU and the Krylov
+    # route, and a rectangular A above it keeps the dense Newton route
+    n = solver.DENSE_THRESHOLD // 2
+    A, B = sparse_instance(n, 50), sparse_instance(n + 1, 50)
+    for storage in (sp.csr_array, lambda A: A.toarray()):
+        P = ProblemInstance(storage(A))
+        assert P.factor is None and P.use_dense_newton
+        res = solve(P)
+        s = np.linalg.svd(A.toarray() + as_dense(res.delta), compute_uv=False)
+        assert res.converged and res.sigma_error == ""
+        assert res.sigma_min == s[-1] and res.sigma_max == s[0]
+        for C, has_lu in ((B, True), (B[:, :n], False)):
+            P = ProblemInstance(storage(C))
+            assert P.m + P.n > solver.DENSE_THRESHOLD
+            assert (P.factor is not None) == has_lu and P.use_dense_newton != has_lu
+
+
+def test_routes_agree_on_dense_input_above_the_threshold(monkeypatch):
+    # a dense 200 x 200 A with a 30% pattern runs on the Krylov route by
+    # default; forcing the dense route finds the same multistart winner
+    rng = np.random.default_rng(51)
+    A = rng.standard_normal((200, 200)) * (rng.random((200, 200)) < 0.3) + np.eye(200)
+    options = SolverOptions(multistart=4)
+    P = ProblemInstance(A, options=options)
+    assert not P.use_dense_newton
+    krylov = solve(P)
+    monkeypatch.setattr(solver, "DENSE_THRESHOLD", 10**9)
+    P = ProblemInstance(A, options=options)
+    assert P.use_dense_newton
+    dense = solve(P)
+    assert krylov.converged and dense.converged
+    assert krylov.inner_iterations > 0
+    assert abs(krylov.distance - dense.distance) <= 1e-8 * dense.distance
 
 
 def test_sparse_solve_factors_A_once(monkeypatch):

@@ -53,7 +53,6 @@ class OracleEval:
     f_value: float
     u: np.ndarray
     delta: np.ndarray
-    Delta: object
     grad_v: np.ndarray
     eps: float
     min_gram_diag: float
@@ -78,7 +77,7 @@ def evaluate(P: ProblemInstance, v, eps: float) -> OracleEval:
     if abs(np.linalg.norm(v) - 1.0) > UNIT_NORM_TOL:
         raise StructureError("v must have unit norm")
     S = P.structure
-    r = -P.matvec(v)
+    r = -(P.A @ v)
     if S.diagonal_gram:
         k1, _ = S.gram_diagonals(np.zeros(P.m), v)
         u = r / (k1 + eps)
@@ -90,13 +89,11 @@ def evaluate(P: ProblemInstance, v, eps: float) -> OracleEval:
         u = scipy.linalg.solve(G + eps * np.eye(P.m), r, assume_a="pos")
     f_value = float(r @ u)
     delta_coords = S.apply_mt(v, u)
-    Delta = S.project_rank1(u, v)
-    grad_v = P.rmatvec(u) + S.apply_n(u, delta_coords)
+    grad_v = P.A.T @ u + S.apply_n(u, delta_coords)
     return OracleEval(
         f_value=f_value,
         u=u,
         delta=delta_coords,
-        Delta=Delta,
         grad_v=grad_v,
         eps=float(eps),
         min_gram_diag=min_gram,

@@ -38,7 +38,6 @@ import time
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .errors import AllStartsFailed, DimensionMismatchError, SingdistError
@@ -120,6 +119,8 @@ class ProblemInstance:
     setting for preserving the nonzero structure of a sparse matrix. A may
     be rectangular, in which case the computed distance is to the nearest
     rank-deficient matrix; u and v then have the row and column dimensions.
+    A is held once: A^T products use its transpose view, and each Newton
+    step builds its block B = A + ... once (``bordered_jacobian``).
     """
 
     def __init__(self, A, structure: LinearStructure | None = None, options: SolverOptions | None = None):
@@ -136,7 +137,6 @@ class ProblemInstance:
         self.structure = structure
         self.options = options if options is not None else SolverOptions()
         self.norm_fro = linalg.frobenius_norm(self.A)
-        self._A_T = self.A.T.tocsr() if sp.issparse(self.A) else self.A.T
 
     @property
     def grad_tol(self):
@@ -174,12 +174,6 @@ class ProblemInstance:
         """The k smallest singular triplets of A and sigma_max(A), routed by the instance."""
         return linalg.smallest_singular_triplets(self.A, k, factor=self.factor)
 
-    def matvec(self, v):
-        return self.A @ v
-
-    def rmatvec(self, u):
-        return self._A_T @ u
-
 
 def residual_G(P: ProblemInstance, u, v):
     """Stacked residual [(A+Delta)v; (A+Delta)^T u], Delta = project_rank1(u, v).
@@ -189,8 +183,8 @@ def residual_G(P: ProblemInstance, u, v):
     """
     S = P.structure
     d = S.apply_mt(v, u)
-    r1 = P.matvec(v) + S.apply_m(v, d)
-    r2 = P.rmatvec(u) + S.apply_n(u, d)
+    r1 = P.A @ v + S.apply_m(v, d)
+    r2 = P.A.T @ u + S.apply_n(u, d)
     return np.concatenate([r1, r2])
 
 
@@ -216,38 +210,42 @@ def bordered_jacobian(P: ProblemInstance, u, v):
     """The bordered Jacobian K = [[H, c], [c^T, 0]] of G at (u, v), c = [0; v].
 
     H = [[M M^T, B], [B^T, N N^T]] with M = M(v), N = N(u) and
-    B = A + R + M N^T, R = ``project_rank1(u, v)``; K is symmetric. On the
-    dense path K is an ndarray filled in place, a pattern's blocks from its
-    Gram kernel (``gram_diagonals``, ``h_offdiag``), a basis's from one
-    ``m_matrix`` and one ``n_matrix``. On the Krylov path it is x -> K x,
-    applied block by block so that memory follows A and the structure: a
-    pattern uses its Gram kernel, a basis the maps, H [x1; x2] =
-    [(A + R) x2 + M w; (A + R)^T x1 + N w] with w = M^T x1 + N^T x2.
+    B = A + R + M N^T, R = ``project_rank1(u, v)``; K is symmetric. B is
+    built once per call: A + ``h_offdiag`` for a pattern (whose M N^T is R),
+    A + (M N^T + R) for a basis on the dense path, from one ``m_matrix`` and
+    one ``n_matrix``, which also give its Gram blocks. On the dense path K
+    is an ndarray filled in place. On the Krylov path it is x -> K x,
+    applied block by block so that memory stays linear in A: B x2 and
+    B^T x1 plus a pattern's diagonal Gram blocks (``gram_diagonals``) or,
+    for a basis, whose B there is A + R, the maps,
+    H [x1; x2] = [B x2 + M w; B^T x1 + N w] with w = M^T x1 + N^T x2.
     """
     S = P.structure
     m, N = P.m, P.m + P.n
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if P.use_dense_newton:
+    dense = P.use_dense_newton
+    if S.diagonal_gram:
+        g1, g2 = S.gram_diagonals(u, v)
+        B = P.A + S.h_offdiag(u, v)
+    elif dense:
+        Mm, Nm = S.m_matrix(v), S.n_matrix(u)
+        B = P.A + (Mm @ Nm.T + S.project_rank1(u, v))
+    else:
+        B = P.A + S.project_rank1(u, v)
+
+    if dense:
         K = np.zeros((N + 1, N + 1))
         if S.diagonal_gram:
-            K[np.arange(N), np.arange(N)] = np.concatenate(S.gram_diagonals(u, v))
-            off = S.h_offdiag(u, v)
+            K[np.arange(N), np.arange(N)] = np.concatenate([g1, g2])
         else:
-            Mm, Nm = S.m_matrix(v), S.n_matrix(u)
             K[:m, :m], K[m:N, m:N] = Mm @ Mm.T, Nm @ Nm.T
-            off = Mm @ Nm.T + S.project_rank1(u, v)
-        off = as_dense(P.A + off)
-        K[:m, m:N], K[m:N, :m] = off, off.T
+        B = as_dense(B)
+        K[:m, m:N], K[m:N, :m] = B, B.T
         K[m:N, N] = K[N, m:N] = v
         return K
 
-    if S.diagonal_gram:
-        g1, g2 = S.gram_diagonals(u, v)
-        R = S.h_offdiag(u, v)
-    else:
-        R = S.project_rank1(u, v)
-    Rt = R.T
+    Bt = B.T
 
     def K(x):
         x1, x2 = x[:m], x[m:N]
@@ -256,8 +254,8 @@ def bordered_jacobian(P: ProblemInstance, u, v):
         else:
             w = S.apply_mt(v, x1) + S.apply_nt(u, x2)
             y1, y2 = S.apply_m(v, w), S.apply_n(u, w)
-        y1 += P.matvec(x2) + R @ x2
-        y2 += P.rmatvec(x1) + Rt @ x1 + x[N] * v
+        y1 += B @ x2
+        y2 += Bt @ x1 + x[N] * v
         return np.concatenate([y1, y2, [v @ x2]])
     return K
 
@@ -284,13 +282,16 @@ def newton_step(P: ProblemInstance, state: SolverState):
     The system is [[H, c], [c^T, 0]] [du; dv; lam] = [-G; 0] with
     c = [0; v]: the border row asks v . dv = 0, which removes the gauge
     direction (u, -v) from the step, and lam is discarded. Both paths
-    build the bordered matrix once, through ``bordered_jacobian``.
+    build the bordered matrix, and its off-diagonal block B, once per step
+    through ``bordered_jacobian``.
     Problems on the dense path (``P.use_dense_newton``) solve the array it
     returns with the direct solver and its minimum-norm fallback (``inner``
-    is None). The others apply it block by block in GCROT(m, k) to a true
-    relative residual of at most ``INNER_TOL``, starting from zero and
-    right-preconditioned by the inverse of blockdiag([[0, A], [A^T, 0]], 1)
-    (H's leading part while u and Delta are small), which maps
+    is None). The others apply it block by block, one product with B and
+    one with B^T per application (a basis's B leaves M N^T to the maps), in
+    GCROT(m, k) to a true relative residual of at most ``INNER_TOL``,
+    starting from zero and right-preconditioned by the inverse of
+    blockdiag([[0, A], [A^T, 0]], 1) (H's leading part while u and Delta
+    are small), which maps
     [x1; x2; x_N] to [A^-T x2; A^-1 x1; x_N] through two solves with the
     instance's LU of A; an A without LU gets here only above
     ``linalg.DENSE_FALLBACK_MAX_N`` unknowns and runs unpreconditioned.

@@ -239,6 +239,30 @@ def test_krylov_route_memory_follows_the_basis(monkeypatch):
     assert peak < 8 * m * m / 10, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_krylov_route_memory_on_a_dense_A_stays_linear_in_A():
+    # a dense 400 x 400 A (30% pattern + I) is above DENSE_THRESHOLD: the
+    # first Krylov Newton step of a solve holds one off-diagonal block
+    # B = A + h_offdiag and B's transpose view, well under the 4 x A a formed
+    # K would take (GCROT's own vectors, 2 (m + n) floats per direction, add
+    # little over its few directions from a start)
+    n = 400
+    rng = np.random.default_rng(28)
+    A = np.where(rng.random((n, n)) < 0.3, rng.standard_normal((n, n)), 0.0) + np.eye(n)
+    P = ProblemInstance(A)
+    assert not P.use_dense_newton and P.factor is not None
+    start = starting_values(P, 1)[0]
+    state = SolverState.at(P, start.u0, start.v0)
+    newton_step(P, state)  # warm-up
+    tracemalloc.start()
+    try:
+        du, dv, inner = newton_step(P, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inner.iterations > 0 and np.isfinite(du).all() and np.isfinite(dv).all()
+    assert peak < 2 * A.nbytes, f"peak {peak / A.nbytes:.2f} x the bytes of A"
+
+
 def test_H_beta_symmetry():
     rng = np.random.default_rng(26)
     for a_in_structure in (True, False):

@@ -129,10 +129,10 @@ def build_sylvester(pair: PolynomialPair, d: int) -> SylvesterInstance:
     for i in range(mdeg + 1):
         # Perturbing p_i touches entries (i + j, j) across the p block.
         jj = np.arange(cols_p)
-        mats.append(sp.csr_array((np.full(cols_p, scale_p), (i + jj, jj)), shape=shape))
+        mats.append(sp.coo_array((np.full(cols_p, scale_p), (i + jj, jj)), shape=shape))
     for i in range(ndeg + 1):
         jj = np.arange(cols_q)
-        mats.append(sp.csr_array((np.full(cols_q, scale_q), (i + jj, cols_p + jj)), shape=shape))
+        mats.append(sp.coo_array((np.full(cols_q, scale_q), (i + jj, cols_p + jj)), shape=shape))
     structure = BasisStructure(mats)
     return SylvesterInstance(
         matrix=A, structure=structure, pair=pair, d=d,

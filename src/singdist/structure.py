@@ -301,12 +301,14 @@ class BasisStructure(LinearStructure):
 
     The basis is held as the sparse p x E coefficient matrix V whose row k
     is vec(B_k) restricted to the E entries that some basis matrix touches,
-    so memory follows the basis, not m n. Orthonormality in the Frobenius
-    inner product is verified at construction on the entries of the Gram
-    matrix V V^T (tolerance 1e-12), and violations are rejected rather than
-    repaired, since silently re-orthonormalizing would change the subspace
-    the caller asked for. Basis elements may have overlapping supports;
-    duplicate entries within one element are summed.
+    so memory follows the basis, not m n. Construction is one pass over
+    each member's stored entries: a dense member contributes its nonzeros,
+    a sparse one every stored entry (an explicitly stored zero is a touched
+    entry). Orthonormality in the Frobenius inner product is verified on
+    the sparse Gram matrix V V^T (tolerance 1e-12), and violations are
+    rejected rather than repaired, since silently re-orthonormalizing would
+    change the subspace the caller asked for. Basis elements may have
+    overlapping supports; duplicate entries within one element are summed.
     """
 
     #: tolerance on every entry of the Gram matrix minus the identity
@@ -315,34 +317,50 @@ class BasisStructure(LinearStructure):
     def __init__(self, mats):
         if len(mats) == 0:
             raise StructureError("basis must contain at least one matrix")
+        p = len(mats)
         shape = None
-        idx, flat, vals = [], [], []
+        rows, cols, vals = [], [], []
         for k, B in enumerate(mats):
-            B = sp.coo_array(B)
+            sparse = sp.issparse(B)
+            B = sp.coo_array(B) if sparse else np.asarray(B)
             if B.ndim != 2:
                 raise StructureError(f"basis matrix {k} must be 2-d, got shape {B.shape}")
-            _check_real(B.data, f"basis matrix {k}")
+            # a dense member gives its nonzeros, a sparse one every stored entry
+            if sparse:
+                r, c, x = B.row, B.col, B.data
+            else:
+                r, c = np.nonzero(B)
+                x = B[r, c]
+            _check_real(x, f"basis matrix {k}")
             if shape is None:
                 shape = B.shape
             elif B.shape != shape:
                 raise StructureError("basis matrices must share one shape")
-            idx.append(np.full(B.nnz, k))
-            flat.append(np.ravel_multi_index((B.row, B.col), shape))
-            vals.append(B.data.astype(float))
-        if len(mats) > shape[0] * shape[1]:
+            rows.append(r)
+            cols.append(c)
+            vals.append(x)
+        if p > shape[0] * shape[1]:
             raise StructureError("more basis matrices than matrix entries")
         # Compress the columns to the touched entries, which np.unique sorts
         # into row-major order; CSR conversion sums duplicates.
-        entries, col = np.unique(np.concatenate(flat), return_inverse=True)
-        V = sp.csr_array((np.concatenate(vals), (np.concatenate(idx), col)),
-                         shape=(len(mats), entries.size))
-        D = sp.coo_array(sp.triu(V @ V.T - sp.eye_array(len(mats))))
-        bad = np.flatnonzero(np.abs(D.data) > self.ORTHONORMALITY_TOL)
-        if bad.size:
-            t = bad[np.lexsort((D.col[bad], D.row[bad]))[0]]
-            i, j = int(D.row[t]), int(D.col[t])
-            g = D.data[t] + (i == j)
-            raise StructureError(f"basis not orthonormal: <B{i}, B{j}> = {g:.3e}")
+        flat = np.ravel_multi_index((np.concatenate(rows), np.concatenate(cols)), shape)
+        entries, col = np.unique(flat, return_inverse=True)
+        idx = np.repeat(np.arange(p), [r.size for r in rows])
+        V = sp.csr_array((np.concatenate(vals).astype(float, copy=False), (idx, col)),
+                         shape=(p, entries.size))
+        # <B_i, B_i> from the squared row norms, so an all-zero member fails
+        # too; <B_i, B_j> for i < j from the stored entries of V V^T
+        diag = np.bincount(np.repeat(np.arange(p), np.diff(V.indptr)),
+                           weights=V.data ** 2, minlength=p)
+        G = sp.coo_array(V @ V.T)
+        off = (G.row < G.col) & (np.abs(G.data) > self.ORTHONORMALITY_TOL)
+        bad = np.flatnonzero(np.abs(diag - 1.0) > self.ORTHONORMALITY_TOL)
+        i = np.concatenate((bad, G.row[off]))
+        if i.size:
+            j = np.concatenate((bad, G.col[off]))
+            t = np.lexsort((j, i))[0]
+            g = np.concatenate((diag[bad], G.data[off]))[t]
+            raise StructureError(f"basis not orthonormal: <B{i[t]}, B{j[t]}> = {g:.3e}")
         super().__init__(shape, *np.unravel_index(entries, shape), V)
 
     def __repr__(self):

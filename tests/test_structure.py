@@ -317,6 +317,12 @@ def test_basis_rejects_non_orthonormal():
     E = [np.eye(2)[:, [i]] @ np.eye(2)[[j], :] for i in range(2) for j in range(2)]
     with pytest.raises(StructureError, match=r"<B2, B3>"):
         BasisStructure([E[0], E[1], E[2], E[2]])
+    # with a bad norm and a bad inner product, the lexicographically first
+    # pair (i, j) is reported, whichever kind it is
+    with pytest.raises(StructureError, match=r"<B0, B1> = 1\.000e\+00"):
+        BasisStructure([E[0], E[0], 2 * E[1]])
+    with pytest.raises(StructureError, match=r"<B0, B2> = 1\.000e\+00"):
+        BasisStructure([E[0], 2 * E[1], E[0]])
 
 
 def test_basis_rejects_non_matrix_elements():
@@ -386,6 +392,82 @@ def test_basis_on_huge_shape_stays_small():
     assert got.keys() == {(0, n - 1), (n - 1, 0), (n - 1, n - 1)}
     assert np.allclose([got[(0, n - 1)], got[(n - 1, 0)], got[(n - 1, n - 1)]],
                        [1.5, 1.5, 4.0], rtol=1e-15)
+
+
+def test_basis_flat_index_of_int32_sparse_member():
+    # a CSR member indexed in int32 on a shape whose flat index passes 2^31
+    n = 50_000
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[-1] = 1
+    B = sp.csr_array((np.array([1.0]), np.array([n - 1], dtype=np.int32), indptr), shape=(n, n))
+    assert B.indices.dtype == B.indptr.dtype == np.int32
+    S = BasisStructure([B])
+    assert np.array_equal(S.rows, [n - 1]) and np.array_equal(S.cols, [n - 1])
+    v = np.zeros(n)
+    v[n - 1] = 3.0
+    y = S.apply_m(v, np.array([2.0]))
+    assert y[n - 1] == 6.0 and np.count_nonzero(y) == 1
+
+
+def _reference_form(mats):
+    """rows, cols and V built from one sp.coo_array per member."""
+    coos = [sp.coo_array(B) for B in mats]
+    shape = coos[0].shape
+    flat = np.concatenate([np.ravel_multi_index((B.row, B.col), shape) for B in coos])
+    entries, col = np.unique(flat, return_inverse=True)
+    idx = np.concatenate([np.full(B.nnz, k) for k, B in enumerate(coos)])
+    vals = np.concatenate([B.data.astype(float) for B in coos])
+    V = sp.csr_array((vals, (idx, col)), shape=(len(coos), entries.size))
+    return (*np.unravel_index(entries, shape), V)
+
+
+def _sylvester_members(inst):
+    """The scaled Toeplitz indicator of each coefficient of ``inst.pair``."""
+    shape, split = inst.matrix.shape, inst.col_split
+    mats = []
+    for deg, cols, scale, offset in ((inst.pair.deg_p, split, inst.scale_p, 0),
+                                     (inst.pair.deg_q, shape[1] - split, inst.scale_q, split)):
+        for i in range(deg + 1):
+            B = np.zeros(shape)
+            B[i + np.arange(cols), offset + np.arange(cols)] = scale
+            mats.append(B)
+    return mats
+
+
+def _construction_cases():
+    rng = np.random.default_rng(12)
+    Q = np.zeros((12, 4))
+    Q[[0, 1, 3, 4, 5, 8, 9, 10, 11]] = np.linalg.qr(rng.standard_normal((9, 4)))[0]
+    dense = [Q[:, k].reshape(3, 4) for k in range(4)]
+    s = np.sqrt(0.5)
+    # the stored zero at (1, 2) is a touched entry
+    stored_zero = sp.csr_array((np.array([1.0, 0.0]), np.array([1, 2]), np.array([0, 1, 2])),
+                               shape=(2, 3))
+    duplicates = sp.coo_array(([0.5 * s, s, 0.5 * s], ([0, 1, 0], [1, 2, 1])), shape=(2, 3))
+    e10 = sp.csr_array(([1.0], ([1], [0])), shape=(2, 3))
+    mixed = [np.array([[0.0, s, 0.0], [0.0, 0.0, s]]), e10,
+             sp.coo_array(([s, -s], ([0, 1], [1, 2])), shape=(2, 3)),
+             np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+             sp.csc_array(([1.0], ([0], [2])), shape=(2, 3))]
+    cases = {"dense": dense, "stored zero": [stored_zero, e10], "duplicates": [duplicates, e10],
+             "mixed": mixed}
+    pair = make_test_polynomials()
+    for d in range(1, 11):
+        inst = build_sylvester(pair, d)
+        cases[f"sylvester d={d}"] = (_sylvester_members(inst), inst.structure)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_construction_cases()))
+def test_basis_construction_matches_per_member_coo(name):
+    case = _construction_cases()[name]
+    mats, S = case if isinstance(case, tuple) else (case, BasisStructure(case))
+    rows, cols, V = _reference_form(mats)
+    assert np.array_equal(S.rows, rows) and np.array_equal(S.cols, cols)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(S._V, attr), getattr(V, attr)), attr
+    if name == "stored zero":
+        assert (1, 2) in set(zip(S.rows.tolist(), S.cols.tolist()))
 
 
 def test_basis_sums_duplicate_coordinates():

@@ -18,10 +18,10 @@ backends stay swappable:
   singular.
 * ``solve_symmetric_iterative``: right-preconditioned flexible GCROT(m, k)
   for a symmetric (possibly indefinite) operator and its preconditioner,
-  both given as matvec callables, with a budget of as many Krylov
-  directions as the order of the system. It stops on the true relative
-  residual and returns it, so callers can treat inexact solutions as
-  search directions.
+  both given as matvec callables (the solver's preconditioner is built on
+  ``LUFactor.solve``), with a budget of as many Krylov directions as the
+  order of the system. It stops on the true relative residual and returns
+  it, so callers can treat inexact solutions as search directions.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ __all__ = [
     "frobenius_norm",
 ]
 
-#: largest order of a dense fallback: the dense SVD of a sparse A takes at
-#: most DENSE_FALLBACK_MAX_N^2 entries (a square A of order 4000, also one
-#: whose Lanczos run fails), and an A without LU assembles its bordered
-#: Newton matrix densely up to m + n of this. A memory cap, not a crossover:
+#: memory cap of the dense route: the dense SVD of a sparse A takes at most
+#: DENSE_FALLBACK_MAX_N^2 entries (a square A of order 4000, also one whose
+#: Lanczos run fails), and ``solver.solve`` refuses an A without LU above
+#: m + n of this, whose bordered Newton matrix is dense. Not a crossover:
 #: 4000^2 doubles is 128 MB.
 DENSE_FALLBACK_MAX_N = 4000
 
@@ -304,8 +304,8 @@ class IterativeSolve:
     converged: bool
 
 
-def solve_symmetric_iterative(op, b, tol, precond=None):
-    """GCROT(m, k) on a symmetric (possibly indefinite) system, optionally preconditioned.
+def solve_symmetric_iterative(op, b, tol, precond):
+    """Right-preconditioned GCROT(m, k) on a symmetric (possibly indefinite) system.
 
     ``op`` is the matvec callable of the system; the caller asserts
     symmetry. ``precond``, also a callable, approximates the inverse of
@@ -314,8 +314,7 @@ def solve_symmetric_iterative(op, b, tol, precond=None):
     the true relative residual ||b - op x|| / ||b|| is at most ``tol`` or
     after about as many new Krylov directions as the order of the system,
     rounded up to whole ``GCROT_CYCLE`` cycles. Each direction costs one
-    application of ``precond`` (of the identity when there is none) and one
-    of ``op``; ``iterations`` counts them.
+    application of ``precond`` and one of ``op``; ``iterations`` counts them.
 
     Returns the iterate with that achieved residual; an unconverged solve is
     not an error, since an inexact step is still a usable search direction.
@@ -325,13 +324,12 @@ def solve_symmetric_iterative(op, b, tol, precond=None):
     bnorm = np.linalg.norm(b)
     if bnorm == 0:
         return IterativeSolve(x=np.zeros(n), residual=0.0, iterations=0, converged=True)
-    apply_precond = precond if precond is not None else np.asarray
     count = 0
 
     def counted_precond(x):
         nonlocal count
         count += 1
-        return apply_precond(x)
+        return precond(x)
 
     linop = spla.LinearOperator((n, n), matvec=op, dtype=float)
     x, _info = spla.gcrotmk(

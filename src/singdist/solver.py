@@ -90,9 +90,9 @@ class SolverOptions:
     """Tuning knobs for the Newton solve.
 
     ``grad_tol`` defaults to ``None``, meaning 1e-12 ||A||_F, resolved per
-    instance; a given value must be positive and finite. Which path a solve
-    takes is decided by size, not by an option: see
-    ``ProblemInstance.use_dense_newton`` and ``DENSE_THRESHOLD``.
+    instance; a given value must be positive and finite. Which route a solve
+    takes is decided by whether A has an LU, not by an option: see
+    ``ProblemInstance.factor`` and ``DENSE_THRESHOLD``.
     The Krylov forcing term is the constant ``INNER_TOL``.
     """
 
@@ -144,27 +144,19 @@ class ProblemInstance:
             return self.options.grad_tol
         return 1e-12 * self.norm_fro if self.norm_fro > 0 else 1e-12
 
-    @property
-    def use_dense_newton(self):
-        """Whether the Newton step assembles H densely.
-
-        True up to ``DENSE_THRESHOLD`` unknowns (m + n), and also up to
-        ``linalg.DENSE_FALLBACK_MAX_N`` when A has no LU (rectangular or
-        exactly singular): unpreconditioned Krylov solves stall on such systems
-        where the dense solve and its least-squares fallback converge.
-        ``factor`` is None at or below the threshold, so one test covers both.
-        """
-        return self.factor is None and self.m + self.n <= linalg.DENSE_FALLBACK_MAX_N
-
     @functools.cached_property
     def factor(self):
         """``linalg.LUFactor`` of A, shared by the triplets and the Newton preconditioner.
 
         Built on first use for a square A, dense or sparse, above
         ``DENSE_THRESHOLD`` unknowns (m + n); None at or below it, and when
-        A is rectangular or exactly singular. Whether it exists picks the
-        route of the triplets (Lanczos on A^-1 A^-T or a full SVD) and
-        of the Newton steps (see ``use_dense_newton``).
+        A is rectangular or exactly singular. Whether it exists is the one
+        route decision of a solve. Without it every phase is dense: full-SVD
+        triplets, the dense Newton solve and exact certificate sigmas, at
+        most ``linalg.DENSE_FALLBACK_MAX_N`` unknowns (``solve`` refuses
+        more). With it every phase is Krylov: Lanczos triplets on
+        A^-1 A^-T, GCROT Newton steps preconditioned through this LU, and
+        the residual bound for sigma_min(A + Delta).
         """
         if self.m != self.n or self.m + self.n <= DENSE_THRESHOLD:
             return None
@@ -194,7 +186,7 @@ def residual_G_beta(P: ProblemInstance, u, v):
     Returns ``(u, v, G)`` with ||v|| = 1. A point whose v is zero or whose
     entries are not finite has no representative; its G is NaN, which no
     line search accepts. The name is kept for the benchmark's
-    ``solver.residual`` hook (``perfbench/tracing.py``) until ROADMAP item 5
+    ``solver.residual`` hook (``perfbench/tracing.py``) until ROADMAP item 7
     renames both.
     """
     u = np.asarray(u, dtype=float)
@@ -213,8 +205,9 @@ def bordered_jacobian(P: ProblemInstance, u, v):
     B = A + R + M N^T, R = ``project_rank1(u, v)``; K is symmetric. B is
     built once per call: A + ``h_offdiag`` for a pattern (whose M N^T is R),
     A + (M N^T + R) for a basis on the dense path, from one ``m_matrix`` and
-    one ``n_matrix``, which also give its Gram blocks. On the dense path K
-    is an ndarray filled in place. On the Krylov path it is x -> K x,
+    one ``n_matrix``, which also give its Gram blocks. On the dense path (A
+    without LU, ``P.factor`` is None) K is an ndarray filled in place. On
+    the Krylov path (A with LU) it is x -> K x,
     applied block by block so that memory stays linear in A: B x2 and
     B^T x1 plus a pattern's diagonal Gram blocks (``gram_diagonals``) or,
     for a basis, whose B there is A + R, the maps,
@@ -224,7 +217,7 @@ def bordered_jacobian(P: ProblemInstance, u, v):
     m, N = P.m, P.m + P.n
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    dense = P.use_dense_newton
+    dense = P.factor is None
     if S.diagonal_gram:
         g1, g2 = S.gram_diagonals(u, v)
         B = P.A + S.h_offdiag(u, v)
@@ -284,34 +277,29 @@ def newton_step(P: ProblemInstance, state: SolverState):
     direction (u, -v) from the step, and lam is discarded. Both paths
     build the bordered matrix, and its off-diagonal block B, once per step
     through ``bordered_jacobian``.
-    Problems on the dense path (``P.use_dense_newton``) solve the array it
-    returns with the direct solver and its minimum-norm fallback (``inner``
-    is None). The others apply it block by block, one product with B and
-    one with B^T per application (a basis's B leaves M N^T to the maps), in
-    GCROT(m, k) to a true relative residual of at most ``INNER_TOL``,
-    starting from zero and right-preconditioned by the inverse of
-    blockdiag([[0, A], [A^T, 0]], 1) (H's leading part while u and Delta
-    are small), which maps
-    [x1; x2; x_N] to [A^-T x2; A^-1 x1; x_N] through two solves with the
-    instance's LU of A; an A without LU gets here only above
-    ``linalg.DENSE_FALLBACK_MAX_N`` unknowns and runs unpreconditioned.
-    ``inner`` is the ``linalg.IterativeSolve`` with its iterations,
+    An A without LU (``P.factor`` is None) takes the dense route: the
+    array it returns is solved with the direct solver and its minimum-norm
+    fallback (``inner`` is None). An A with LU applies it block by block,
+    one product with B and one with B^T per application (a basis's B
+    leaves M N^T to the maps), in GCROT(m, k) to a true relative residual
+    of at most ``INNER_TOL``, starting from zero and right-preconditioned
+    by the inverse of blockdiag([[0, A], [A^T, 0]], 1) (H's leading part
+    while u and Delta are small), which maps
+    [x1; x2; x_N] to [A^-T x2; A^-1 x1; x_N] through two solves with that
+    LU. ``inner`` is the ``linalg.IterativeSolve`` with its iterations,
     achieved residual and convergence. The step depends on P and the state
     alone.
     """
     m, N = P.m, P.m + P.n
     K = bordered_jacobian(P, state.u, state.v)
     rhs = np.append(-state.residual, 0.0)
-    if P.use_dense_newton:
+    if P.factor is None:
         x = linalg.solve_dense(K, rhs).x
         return x[:m], x[m:N], None
+    solve_lu = P.factor.solve
 
-    precond = None
-    if P.factor is not None:
-        solve_lu = P.factor.solve
-
-        def precond(x):
-            return np.concatenate([solve_lu(x[m:N], trans=True), solve_lu(x[:m]), x[N:]])
+    def precond(x):
+        return np.concatenate([solve_lu(x[m:N], trans=True), solve_lu(x[:m]), x[N:]])
 
     it = linalg.solve_symmetric_iterative(K, rhs, INNER_TOL, precond)
     return it.x[:m], it.x[m:N], it
@@ -357,12 +345,12 @@ class SolveResult:
     """Outcome of a Newton run (or of the best start under multi-start).
 
     ``sigma_min`` and ``sigma_max`` of A + Delta are set by ``solve`` on its
-    converged result. Up to ``DENSE_THRESHOLD`` unknowns (m + n), and for a
-    single row or column, both are exact, from a full SVD. Above it, dense
-    or sparse, ``sigma_min`` is the residual upper bound ||(A + Delta) v||
-    (or its left counterpart), which certifies singularity without factoring
-    A + Delta, and ``sigma_error`` can only come from the Lanczos run for
-    ``sigma_max``.
+    converged result. For an A without LU (``ProblemInstance.factor`` is
+    None) both are exact, from a full SVD. For an A with LU, dense or
+    sparse, ``sigma_min`` is the residual upper bound ||(A + Delta) v||
+    (or its left counterpart, whichever is smaller), which certifies
+    singularity without factoring A + Delta, and ``sigma_error`` can only
+    come from the Lanczos run for ``sigma_max``.
     """
 
     converged: bool
@@ -509,29 +497,25 @@ def starting_values(P: ProblemInstance, K: int | None = None, triplets=None):
 def _certificate_sigmas(P: ProblemInstance, result: SolveResult):
     """(sigma_min, sigma_max, reason) of B = A + Delta; the sigmas are None when unavailable.
 
-    At most ``DENSE_THRESHOLD`` unknowns (m + n), or a single row or
-    column: both sigmas are exact, from a full SVD. A larger A, dense or
-    sparse, is not factored again: ``sigma_min`` is the residual upper
-    bound the root (u, v) gives, computed explicitly from B as ||B v|| / ||v||
-    when m >= n and ||B^T u|| / ||u|| when m <= n (the smaller when square),
-    and ``sigma_max`` comes from one Lanczos run (``linalg.spectral_norm``),
+    Routed like the rest of the solve. Without an LU of A both sigmas are
+    exact, from a full SVD. With one, A is square and B is not factored:
+    ``sigma_min`` is the residual upper bound the root (u, v) gives,
+    min(||B v|| / ||v||, ||B^T u|| / ||u||) computed explicitly from B, and
+    ``sigma_max`` comes from one Lanczos run (``linalg.spectral_norm``),
     the only step there that can fail. ``reason`` is empty on success and
     otherwise a fixed string naming the exception, so reports stay
     deterministic.
     """
     try:
-        if P.m + P.n <= DENSE_THRESHOLD or min(P.m, P.n) < 2:
-            s = np.linalg.svd(as_dense(P.A + result.delta), compute_uv=False)
-            return float(s[-1]), float(s[0]), ""
         B = P.A + result.delta
+        if P.factor is None:
+            s = np.linalg.svd(as_dense(B), compute_uv=False)
+            return float(s[-1]), float(s[0]), ""
         smax = linalg.spectral_norm(B)
         u, v = result.u, result.v
-        bounds = []
-        if P.m >= P.n:
-            bounds.append(np.linalg.norm(B @ v) / np.linalg.norm(v))
-        if P.m <= P.n:
-            bounds.append(np.linalg.norm(B.T @ u) / np.linalg.norm(u))
-        return float(min(bounds)), smax, ""
+        smin = min(np.linalg.norm(B @ v) / np.linalg.norm(v),
+                   np.linalg.norm(B.T @ u) / np.linalg.norm(u))
+        return float(smin), smax, ""
     except (SingdistError, RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
         return None, None, f"sigma(A+Delta) not computed: {type(exc).__name__}"
 
@@ -556,9 +540,12 @@ def solve(P: ProblemInstance) -> SolveResult:
 
     Returns the converged result of smallest ||Delta||_F, carrying per-start
     summaries and the singular-value certificate of A + Delta. An input that
-    is already numerically singular short-circuits to distance zero. If no
-    start converges, ``AllStartsFailed`` is raised with the summaries and the
-    best non-converged result attached.
+    is already numerically singular short-circuits to distance zero. Any
+    other A without LU (see ``ProblemInstance.factor``) is refused with
+    ``DimensionMismatchError`` above ``linalg.DENSE_FALLBACK_MAX_N``
+    unknowns (m + n), the dense route's memory cap. If no start converges,
+    ``AllStartsFailed`` is raised with the summaries and the best
+    non-converged result attached.
     """
     t0 = time.perf_counter()
     K = min(P.options.multistart, P.m, P.n)
@@ -570,6 +557,11 @@ def solve(P: ProblemInstance) -> SolveResult:
                            "input numerically singular; distance 0", [], 0, t0)
         result.sigma_min, result.sigma_max = float(sigma_min_a), float(sigma_max_a)
         return result
+    if P.factor is None and P.m + P.n > linalg.DENSE_FALLBACK_MAX_N:
+        raise DimensionMismatchError(
+            f"a {P.m} x {P.n} matrix without LU takes the dense route, which is capped "
+            f"at m + n = {linalg.DENSE_FALLBACK_MAX_N}"
+        )
     starts = starting_values(P, K, trips)
     results = {s.index: line_search_newton(P, s.u0, s.v0, s.index)
                for s in starts if not s.skipped}

@@ -304,10 +304,11 @@ class BasisStructure(LinearStructure):
     so memory follows the basis, not m n. Construction is one pass over
     each member's stored entries: a dense member contributes its nonzeros,
     a sparse one every stored entry (an explicitly stored zero is a touched
-    entry). Orthonormality in the Frobenius inner product is verified on
-    the sparse Gram matrix V V^T (tolerance 1e-12), and violations are
-    rejected rather than repaired, since silently re-orthonormalizing would
-    change the subspace the caller asked for. Basis elements may have
+    entry). Every value read must be finite. Orthonormality in the
+    Frobenius inner product is verified on the sparse Gram matrix V V^T
+    (tolerance 1e-12), and violations are rejected rather than repaired,
+    since silently re-orthonormalizing would change the subspace the caller
+    asked for. Basis elements may have
     overlapping supports; duplicate entries within one element are summed.
     """
 
@@ -332,6 +333,9 @@ class BasisStructure(LinearStructure):
                 r, c = np.nonzero(B)
                 x = B[r, c]
             _check_real(x, f"basis matrix {k}")
+            x = x.astype(float, copy=False)
+            if not np.isfinite(x).all():
+                raise StructureError(f"basis matrix {k} contains non-finite entries")
             if shape is None:
                 shape = B.shape
             elif B.shape != shape:
@@ -346,8 +350,7 @@ class BasisStructure(LinearStructure):
         flat = np.ravel_multi_index((np.concatenate(rows), np.concatenate(cols)), shape)
         entries, col = np.unique(flat, return_inverse=True)
         idx = np.repeat(np.arange(p), [r.size for r in rows])
-        V = sp.csr_array((np.concatenate(vals).astype(float, copy=False), (idx, col)),
-                         shape=(p, entries.size))
+        V = sp.csr_array((np.concatenate(vals), (idx, col)), shape=(p, entries.size))
         # <B_i, B_i> from the squared row norms, so an all-zero member fails
         # too; <B_i, B_j> for i < j from the stored entries of V V^T
         diag = np.bincount(np.repeat(np.arange(p), np.diff(V.indptr)),

@@ -245,11 +245,12 @@ def test_solve_dense_singular_lu_warns_nothing():
 
 
 def test_iterative_identity_and_diagonal():
-    out = solve_symmetric_iterative(lambda x: x, np.arange(1.0, 5.0), tol=1e-12)
+    out = solve_symmetric_iterative(lambda x: x, np.arange(1.0, 5.0), tol=1e-12,
+                                    precond=np.asarray)
     assert np.allclose(out.x, np.arange(1.0, 5.0), atol=1e-10)
     assert out.iterations <= 2
     d = np.arange(1.0, 11.0)
-    out = solve_symmetric_iterative(lambda x: d * x, np.ones(10), tol=1e-12)
+    out = solve_symmetric_iterative(lambda x: d * x, np.ones(10), tol=1e-12, precond=np.asarray)
     assert np.allclose(out.x, 1.0 / d, atol=1e-10)
     assert out.converged
 
@@ -260,7 +261,7 @@ def test_iterative_matches_dense_on_indefinite():
         B = rng.standard_normal((50, 50))
         M = (B + B.T) / 2  # symmetric indefinite
         b = rng.standard_normal(50)
-        it = solve_symmetric_iterative(lambda x: M @ x, b, tol=1e-10)
+        it = solve_symmetric_iterative(lambda x: M @ x, b, tol=1e-10, precond=np.asarray)
         ref = solve_dense(M, b).x
         assert np.linalg.norm(it.x - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -270,7 +271,7 @@ def test_iterative_reports_achieved_residual():
     B = rng.standard_normal((30, 30))
     M = (B + B.T) / 2
     b = rng.standard_normal(30)
-    out = solve_symmetric_iterative(lambda x: M @ x, b, tol=1e-8)
+    out = solve_symmetric_iterative(lambda x: M @ x, b, tol=1e-8, precond=np.asarray)
     assert abs(np.linalg.norm(M @ out.x - b) / np.linalg.norm(b) - out.residual) <= 1e-12
 
 
@@ -323,7 +324,7 @@ def test_iterative_applies_the_operator_once_per_direction():
         calls.append(np.linalg.norm(x))
         return M @ x
 
-    out = solve_symmetric_iterative(op, b, tol=1e-14)
+    out = solve_symmetric_iterative(op, b, tol=1e-14, precond=np.asarray)
     assert out.iterations > 0
     assert len(calls) == out.iterations + 1
     assert all(c > 0 for c in calls[:-1])

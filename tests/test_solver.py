@@ -141,7 +141,7 @@ def as_matrix(K, size):
     return np.column_stack([K(e) for e in np.eye(size)])
 
 
-def test_apply_H_beta_linearity_and_fd(monkeypatch):
+def test_bordered_jacobian_linearity_and_fd(monkeypatch):
     # the leading block of the bordered Jacobian is the derivative of G, on
     # both routes, for diagonal Gram blocks and for a general basis
     rng = np.random.default_rng(24)
@@ -154,7 +154,7 @@ def test_apply_H_beta_linearity_and_fd(monkeypatch):
         monkeypatch.setattr(solver, "DENSE_THRESHOLD", threshold)
         for S in structures:
             P = ProblemInstance(A, S)
-            assert P.use_dense_newton == (threshold > 0)
+            assert (P.factor is None) == (threshold > 0)
             K = as_matrix(bordered_jacobian(P, u, v), 13)
             assert K.shape == (13, 13)
             assert np.array_equal(K[:12, 12], np.concatenate([np.zeros(6), v]))
@@ -169,7 +169,7 @@ def test_apply_H_beta_linearity_and_fd(monkeypatch):
             assert order >= 1.9, f"{S}, threshold {threshold}: observed order {order}"
 
 
-def test_apply_H_beta_known_matrix():
+def test_bordered_jacobian_known_matrix():
     # at the solved point of diag(s1, s2) the Jacobian of G is
     # [[1,0,s1,0],[0,1,0,-s2],[s1,0,s2^2,0],[0,-s2,0,s2^2]], bordered by [0; v]
     s1, s2 = 3.0, 1.0
@@ -188,10 +188,11 @@ def test_apply_H_beta_known_matrix():
 
 def test_krylov_route_jacobian_equals_dense_route_jacobian(monkeypatch):
     # the Krylov route's block-by-block product is the dense route's array:
-    # an ndarray on the dense route, a callable never formed on the Krylov one
+    # an ndarray on the dense route, a callable never formed on the Krylov
+    # one, which only a square A with LU takes
     rng = np.random.default_rng(25)
     cases = []
-    for m, n in ((6, 6), (5, 7), (7, 4)):
+    for m, n in ((6, 6), (7, 7)):
         A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
         A[np.arange(min(m, n)), np.arange(min(m, n))] += 2.0
         pattern = SparsityPattern.from_matrix(A)
@@ -202,13 +203,12 @@ def test_krylov_route_jacobian_equals_dense_route_jacobian(monkeypatch):
     dense_route = []
     for A, S, u, v in cases:
         P = ProblemInstance(A, S)
-        assert P.use_dense_newton
+        assert P.factor is None
         dense_route.append(bordered_jacobian(P, u, v))
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 0)
-    monkeypatch.setattr(linalg, "DENSE_FALLBACK_MAX_N", 0)
     for (A, S, u, v), K_dense in zip(cases, dense_route):
         P = ProblemInstance(A, S)
-        assert not P.use_dense_newton
+        assert P.factor is not None
         K = bordered_jacobian(P, u, v)
         assert isinstance(K_dense, np.ndarray) and callable(K)
         size = P.m + P.n + 1
@@ -226,7 +226,7 @@ def test_krylov_route_memory_follows_the_basis(monkeypatch):
     S = BasisStructure([sp.diags_array(np.full(m - abs(k), 1.0 / np.sqrt(m - abs(k))),
                                        offsets=k, shape=(m, m)) for k in range(-3, 4)])
     P = ProblemInstance(A, S)
-    assert not P.use_dense_newton and P.factor is not None
+    assert P.factor is not None
     rng = np.random.default_rng(27)
     state = SolverState.at(P, 0.01 * rng.standard_normal(m), rng.standard_normal(m))
     tracemalloc.start()
@@ -249,7 +249,7 @@ def test_krylov_route_memory_on_a_dense_A_stays_linear_in_A():
     rng = np.random.default_rng(28)
     A = np.where(rng.random((n, n)) < 0.3, rng.standard_normal((n, n)), 0.0) + np.eye(n)
     P = ProblemInstance(A)
-    assert not P.use_dense_newton and P.factor is not None
+    assert P.factor is not None
     start = starting_values(P, 1)[0]
     state = SolverState.at(P, start.u0, start.v0)
     newton_step(P, state)  # warm-up
@@ -479,7 +479,7 @@ def test_krylov_path_matches_dense_path(monkeypatch):
     dense = solve(ProblemInstance(A))
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
     P = ProblemInstance(A)
-    assert not P.use_dense_newton and P.factor is not None
+    assert P.factor is not None
     krylov = solve(P)
     assert dense.converged and krylov.converged
     assert abs(krylov.distance - dense.distance) <= 1e-10 * dense.distance
@@ -513,7 +513,7 @@ def test_krylov_path_matches_dense_path_on_general_structures(monkeypatch, kind)
     dense = line_search_newton(P, u0, start.v0)
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 50)
     P = ProblemInstance(A, S, options)
-    assert not P.use_dense_newton and P.factor is not None
+    assert P.factor is not None
     krylov = line_search_newton(P, u0, start.v0)
     assert dense.converged and krylov.converged
     assert krylov.iterations > 0 and krylov.inner_iterations > 0
@@ -542,7 +542,7 @@ def test_each_newton_step_builds_the_jacobian_once(monkeypatch):
     for threshold in (max(solver.DENSE_THRESHOLD, 80), 0):
         monkeypatch.setattr(solver, "DENSE_THRESHOLD", threshold)
         P = ProblemInstance(A)
-        assert P.use_dense_newton == (threshold > 0)
+        assert (P.factor is None) == (threshold > 0)
         built.clear()
         steps.clear()
         res = solve(P)
@@ -564,7 +564,7 @@ def test_dense_route_builds_each_gram_factor_once(monkeypatch):
              (random_pattern(rng, 5, 6)[0], {"gram_diagonals": 1, "h_offdiag": 1}))
     for S, expected in cases:
         P = ProblemInstance(A, S)
-        assert P.use_dense_newton
+        assert P.factor is None
         calls.clear()
         bordered_jacobian(P, u, v)
         assert dict(calls) == expected
@@ -577,7 +577,7 @@ def test_krylov_newton_step_meets_inner_tol(monkeypatch):
     A = sparse_instance(80, 40)
     rng = np.random.default_rng(41)
     dense = ProblemInstance(A)
-    assert dense.use_dense_newton
+    assert dense.factor is None
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
     for inner_tol in (1e-2, 1e-6):
         monkeypatch.setattr(solver, "INNER_TOL", inner_tol)
@@ -607,7 +607,7 @@ def test_krylov_newton_step_is_a_function_of_the_state(monkeypatch):
     A = sparse_instance(80, 40)
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
     P = ProblemInstance(A)
-    assert not P.use_dense_newton
+    assert P.factor is not None
     start = starting_values(P, 1)[0]
     state = SolverState.at(P, start.u0, start.v0)
     du1, dv1, inner1 = newton_step(P, state)
@@ -625,7 +625,7 @@ def test_krylov_newton_step_preconditions_with_the_augmented_inverse(monkeypatch
     iterative = linalg.solve_symmetric_iterative
     captured = []
 
-    def capturing(op, b, tol, precond=None):
+    def capturing(op, b, tol, precond):
         captured.append(precond)
         return iterative(op, b, tol, precond)
 
@@ -635,7 +635,7 @@ def test_krylov_newton_step_preconditions_with_the_augmented_inverse(monkeypatch
     x = np.random.default_rng(47).standard_normal(N + 1)
     for M in (A, A.toarray()):
         P = ProblemInstance(M)
-        assert P.factor is not None and not P.use_dense_newton
+        assert P.factor is not None
         start = starting_values(P, 1)[0]
         captured.clear()
         newton_step(P, SolverState.at(P, start.u0, start.v0))
@@ -651,7 +651,7 @@ def test_krylov_multistart_starts_are_independent(monkeypatch):
     A = sparse_instance(80, 40)
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
     P = ProblemInstance(A, options=SolverOptions(multistart=3))
-    assert not P.use_dense_newton
+    assert P.factor is not None
     res = solve(P)
     starts = starting_values(P, 3)
     assert len(res.starts) == 3 and not any(s.skipped for s in starts)
@@ -673,7 +673,7 @@ def test_krylov_path_converges_on_hard_small_input(monkeypatch):
     dense = solve(ProblemInstance(A))
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 0)
     P = ProblemInstance(A)
-    assert not P.use_dense_newton and P.factor is not None
+    assert P.factor is not None
     krylov = solve(P)
     assert dense.converged and krylov.converged
     assert dense.iterations <= 10 and krylov.iterations <= 10
@@ -696,17 +696,22 @@ def count_lu(monkeypatch):
 
 def test_singular_sparse_input_above_threshold_short_circuits(monkeypatch):
     # an exactly singular square input has no LU; its one failed LU attempt
-    # sends the triplets to the dense SVD and the solve reports distance 0
+    # sends the triplets to the dense SVD and the solve reports distance 0,
+    # also above the dense route's cap, which only refuses a Newton solve
     A = sparse_instance(60, 42).tolil()
     A[7, :] = 0.0
+    A = sp.csr_array(A)
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 50)
     built = count_lu(monkeypatch)
-    P = ProblemInstance(sp.csr_array(A))
-    assert P.factor is None
-    res = solve(P)
-    assert res.converged and res.distance == 0.0
-    assert "singular" in res.message
-    assert built == [(60, 60)]
+    for cap in (linalg.DENSE_FALLBACK_MAX_N, 100):
+        monkeypatch.setattr(linalg, "DENSE_FALLBACK_MAX_N", cap)
+        built.clear()
+        P = ProblemInstance(A)
+        assert P.factor is None and P.m + P.n > 100
+        res = solve(P)
+        assert res.converged and res.distance == 0.0
+        assert "singular" in res.message
+        assert built == [(60, 60)]
 
 
 def test_dense_input_above_threshold_reuses_its_lu(monkeypatch):
@@ -738,44 +743,43 @@ def test_dense_input_above_threshold_reuses_its_lu(monkeypatch):
 
 
 def test_rectangular_sparse_input_routing(monkeypatch):
-    # no LU for a rectangular A: up to the dense-fallback cap the Newton
-    # step stays on the dense path; above it, it runs unpreconditioned
-    # through the same GCROT entry point, over more than one inner cycle
-    # (order 150 > the length of the first cycle)
+    # no LU for a rectangular A: above the threshold every phase stays on
+    # the dense route, with exact certificate sigmas, up to the dense
+    # route's cap; above the cap the solve is refused, naming shape and cap
     A = sp.csr_array(sp.random(60, 90, density=0.3, random_state=np.random.RandomState(44)))
-    dense = solve(ProblemInstance(A))
+    default = solve(ProblemInstance(A))
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 20)
     P = ProblemInstance(A)
-    assert P.factor is None and P.use_dense_newton
+    assert P.factor is None and P.m + P.n > solver.DENSE_THRESHOLD
+    res = solve(P)
+    assert default.converged and res.converged
+    assert res.distance == default.distance and res.inner_iterations == 0
+    s = np.linalg.svd(A.toarray() + as_dense(res.delta), compute_uv=False)
+    assert res.sigma_error == ""
+    assert res.sigma_min == s[-1] and res.sigma_max == s[0]
     monkeypatch.setattr(linalg, "DENSE_FALLBACK_MAX_N", 100)
-    first_cycle = linalg.GCROT_CYCLE + linalg.GCROT_RECYCLE
-    assert P.m + P.n > first_cycle and not P.use_dense_newton
-    krylov = solve(P)
-    assert dense.converged and krylov.converged
-    assert max(r.inner_iterations for r in krylov.trace) > first_cycle
-    assert abs(krylov.distance - dense.distance) <= 1e-10 * dense.distance
-    assert krylov.sigma_error == ""
-    assert_sigma_bound(A, krylov)
+    with pytest.raises(DimensionMismatchError, match=r"60 x 90 .* 100"):
+        solve(ProblemInstance(A))
 
 
 def test_route_boundary_is_the_dense_threshold():
-    # one rule routes every input, whatever its storage: a square A with
-    # m + n at DENSE_THRESHOLD takes the dense route with no LU and exact
-    # certificate sigmas, one size above it takes its LU and the Krylov
-    # route, and a rectangular A above it keeps the dense Newton route
+    # one rule routes every input, whatever its storage: an A without LU
+    # (a square one with m + n at DENSE_THRESHOLD, or a rectangular one
+    # above it) takes the dense route in every phase, with no inner
+    # iterations and exact certificate sigmas; a square A one size above
+    # the threshold takes its LU and the Krylov route
     n = solver.DENSE_THRESHOLD // 2
     A, B = sparse_instance(n, 50), sparse_instance(n + 1, 50)
     for storage in (sp.csr_array, lambda A: A.toarray()):
-        P = ProblemInstance(storage(A))
-        assert P.factor is None and P.use_dense_newton
-        res = solve(P)
-        s = np.linalg.svd(A.toarray() + as_dense(res.delta), compute_uv=False)
-        assert res.converged and res.sigma_error == ""
-        assert res.sigma_min == s[-1] and res.sigma_max == s[0]
-        for C, has_lu in ((B, True), (B[:, :n], False)):
+        for C in (A, B[:, :n]):
             P = ProblemInstance(storage(C))
-            assert P.m + P.n > solver.DENSE_THRESHOLD
-            assert (P.factor is not None) == has_lu and P.use_dense_newton != has_lu
+            assert P.factor is None
+            res = solve(P)
+            s = np.linalg.svd(C.toarray() + as_dense(res.delta), compute_uv=False)
+            assert res.converged and res.sigma_error == "" and res.inner_iterations == 0
+            assert res.sigma_min == s[-1] and res.sigma_max == s[0]
+        P = ProblemInstance(storage(B))
+        assert P.m + P.n > solver.DENSE_THRESHOLD and P.factor is not None
 
 
 def test_routes_agree_on_dense_input_above_the_threshold(monkeypatch):
@@ -785,11 +789,11 @@ def test_routes_agree_on_dense_input_above_the_threshold(monkeypatch):
     A = rng.standard_normal((200, 200)) * (rng.random((200, 200)) < 0.3) + np.eye(200)
     options = SolverOptions(multistart=4)
     P = ProblemInstance(A, options=options)
-    assert not P.use_dense_newton
+    assert P.factor is not None
     krylov = solve(P)
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 10**9)
     P = ProblemInstance(A, options=options)
-    assert P.use_dense_newton
+    assert P.factor is None
     dense = solve(P)
     assert krylov.converged and dense.converged
     assert krylov.inner_iterations > 0

@@ -332,6 +332,16 @@ def test_basis_rejects_non_matrix_elements():
         BasisStructure([np.ones((1, 1)), np.ones((1, 1, 1))])
 
 
+def test_basis_rejects_non_finite_members():
+    # a NaN passes every orthonormality comparison, so the values are
+    # checked where they are read, dense or sparse, naming the member
+    for bad in (np.nan, np.inf, -np.inf):
+        B1 = np.array([[bad, 0.0], [0.0, 0.0]])
+        for storage in (np.asarray, sp.csr_array):
+            with pytest.raises(StructureError, match="basis matrix 1 contains non-finite"):
+                BasisStructure([np.array([[0.0, 1.0], [0.0, 0.0]]), storage(B1)])
+
+
 def test_complex_input_rejected():
     with pytest.raises(StructureError):
         FullStructure(2, 2).project_rank1(np.array([1j, 0]), np.array([1.0, 0]))

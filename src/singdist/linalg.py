@@ -3,10 +3,12 @@
 The solver is written against the contracts in this module so the numerical
 backends stay swappable:
 
-* ``factorize``: one LU factorization of a square A (SuperLU for sparse A,
-  LAPACK for dense A) behind ``LUFactor.solve(b, trans)``. The triplet
-  solver and the Newton preconditioner share it, so A is factored once per
-  problem.
+* ``factorize``: one LU factorization of a square A behind
+  ``LUFactor.solve(b, trans)``: LAPACK for dense A, SuperLU for sparse A
+  whose LU stays sparse, and LAPACK again for sparse A whose LU is predicted
+  to fill in, densified up to ``DENSE_FALLBACK_MAX_N``^2 entries. The
+  triplet solver and the Newton preconditioner share it, so A is factored
+  once per problem.
 * ``smallest_singular_triplets``: the K smallest singular triplets of a dense
   or sparse matrix. Handed an ``LUFactor`` of A, it runs Lanczos on
   A^-1 A^-T, two triangular solves per step, whose largest eigenvalues are
@@ -27,12 +29,14 @@ backends stay swappable:
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .errors import DimensionMismatchError, StructureError, TripletError
 from .structure import as_dense
@@ -52,10 +56,23 @@ __all__ = [
 
 #: memory cap of the dense route: the dense SVD of a sparse A takes at most
 #: DENSE_FALLBACK_MAX_N^2 entries (a square A of order 4000, also one whose
-#: Lanczos run fails), and ``solver.solve`` refuses an A without LU above
-#: m + n of this, whose bordered Newton matrix is dense. Not a crossover:
-#: 4000^2 doubles is 128 MB.
+#: Lanczos run fails), as does the densified LU of a sparse A that
+#: ``LUFactor`` hands to LAPACK, and ``solver.solve`` refuses an A without
+#: LU above m + n of this, whose bordered Newton matrix is dense. Not a
+#: crossover: 4000^2 doubles is 128 MB.
 DENSE_FALLBACK_MAX_N = 4000
+
+#: fill predictor of ``LUFactor``: a sparse A whose rows, in the reverse
+#: Cuthill-McKee column order of its bipartite graph, span on average more
+#: than this fraction of the n columns is densified and factored by LAPACK,
+#: since its sparse LU fills in. It is the measured crossover (n = 400-3000,
+#: 2 BLAS threads; BENCH_lu_kernel.json): random graphs with 2 entries off
+#: the diagonal per row read 0.28-0.29 and SuperLU factors them 2.6-3.2x
+#: faster; with 3 they read 0.41-0.42 and the kernels are level (LAPACK
+#: faster at 4 of 5 sizes); with 4-5 they read 0.51-0.59 and LAPACK is
+#: 1.7-4.3x faster. Banded, 2D and 3D Laplacian and block-diagonal input
+#: read at most 0.12, where SuperLU is 2.4-30x faster.
+LU_FILL_SPREAD = 0.4
 
 #: inner FGMRES cycle length m of GCROT(m, k); the preconditioned Newton
 #: systems converge within one cycle. Every solve starts from x0 = 0 with
@@ -116,22 +133,61 @@ def validate_matrix(A):
 def frobenius_norm(A):
     if sp.issparse(A):
         return float(np.sqrt((A.data**2).sum()))
-    return float(np.linalg.norm(A, "fro"))
+    # summed in numpy: np.linalg.norm's threaded BLAS dot stalls the LAPACK
+    # LU of A that follows it
+    return math.sqrt(np.square(A).sum())
+
+
+def _lu_fills_in(A):
+    """Whether to densify the square sparse ``A`` for LAPACK: its LU is predicted to fill in.
+
+    Orders the bipartite graph [[0, P], [P^T, 0]] of A's pattern P by
+    reverse Cuthill-McKee, which orders the columns apart from the rows, so
+    a band whose rows and columns were permuted independently is found
+    again. The predictor is the mean spread (last minus first column
+    position) of a row in that order, as a fraction of n, against
+    ``LU_FILL_SPREAD``. False above ``DENSE_FALLBACK_MAX_N``^2 entries.
+    """
+    n = A.shape[0]
+    if n * n > DENSE_FALLBACK_MAX_N**2:
+        return False
+    A = sp.csr_array(A)
+    P = sp.csr_array((np.ones(A.nnz, dtype=np.int8), A.indices, A.indptr), shape=A.shape)
+    order = csgraph.reverse_cuthill_mckee(
+        sp.block_array([[None, P], [P.T, None]], format="csr"), symmetric_mode=True)
+    col_pos = np.empty(n, dtype=np.intp)
+    col_pos[order[order >= n] - n] = np.arange(n)
+    pos = col_pos[A.indices]
+    starts = A.indptr[:-1][np.diff(A.indptr) > 0]
+    spread = np.maximum.reduceat(pos, starts) - np.minimum.reduceat(pos, starts)
+    return bool(spread.sum() > LU_FILL_SPREAD * n * n)
 
 
 class LUFactor:
-    """LU factorization of a square matrix A behind one ``solve(b, trans)``."""
+    """LU factorization of a square matrix A behind one ``solve(b, trans)``.
+
+    SuperLU factors a sparse A whose LU stays sparse. LAPACK factors a dense
+    A, and a sparse A whose LU is predicted to fill in (``_lu_fills_in``),
+    densified: on a 2,100-row random graph with 5 entries per row, 140 ms
+    instead of SuperLU's 340 ms.
+    An exactly singular A raises ``RuntimeError`` (SuperLU) or
+    ``np.linalg.LinAlgError`` (LAPACK).
+    """
 
     def __init__(self, A):
-        if sp.issparse(A):
+        if sp.issparse(A) and not _lu_fills_in(A):
             lu = spla.splu(sp.csc_array(A))
             self._solve = lambda b, trans: lu.solve(b, trans="T" if trans else "N")
-        else:
-            lu_piv = scipy.linalg.lu_factor(A, check_finite=False)
-            if not np.all(np.isfinite(lu_piv[0])) or not np.all(np.diag(lu_piv[0])):
-                raise np.linalg.LinAlgError("matrix is exactly singular")
-            self._solve = lambda b, trans: scipy.linalg.lu_solve(
-                lu_piv, b, trans=int(trans), check_finite=False)
+            return
+        densified = sp.issparse(A)
+        # LAPACK factors a Fortran-order copy in place; from C order
+        # lu_factor would make a second n^2 copy
+        lu_piv = scipy.linalg.lu_factor(A.toarray(order="F") if densified else A,
+                                        overwrite_a=densified, check_finite=False)
+        if not np.all(np.isfinite(lu_piv[0])) or not np.all(np.diag(lu_piv[0])):
+            raise np.linalg.LinAlgError("matrix is exactly singular")
+        self._solve = lambda b, trans: scipy.linalg.lu_solve(
+            lu_piv, b, trans=int(trans), check_finite=False)
 
     def solve(self, b, trans=False):
         """``A^-1 b``, or ``A^-T b`` when ``trans``."""
@@ -139,7 +195,12 @@ class LUFactor:
 
 
 def factorize(A):
-    """``LUFactor`` of a square matrix, or None when A is exactly singular."""
+    """``LUFactor`` of a square matrix, or None when A is exactly singular.
+
+    A sparse A goes to SuperLU or, when its LU is predicted to fill in, to
+    LAPACK densified (see ``LUFactor``); either kernel's exact zero pivot
+    gives None.
+    """
     A = validate_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"factorize needs a square matrix, got {A.shape}")

@@ -150,13 +150,15 @@ class ProblemInstance:
 
         Built on first use for a square A, dense or sparse, above
         ``DENSE_THRESHOLD`` unknowns (m + n); None at or below it, and when
-        A is rectangular or exactly singular. Whether it exists is the one
-        route decision of a solve. Without it every phase is dense: full-SVD
-        triplets, the dense Newton solve and exact certificate sigmas, at
-        most ``linalg.DENSE_FALLBACK_MAX_N`` unknowns (``solve`` refuses
-        more). With it every phase is Krylov: Lanczos triplets on
-        A^-1 A^-T, GCROT Newton steps preconditioned through this LU, and
-        the residual bound for sigma_min(A + Delta).
+        A is rectangular or exactly singular. LAPACK factors a dense A and,
+        densified, a sparse A whose LU is predicted to fill in; SuperLU
+        factors any other sparse A (``linalg.LUFactor``). Whether it exists
+        is the one route decision of a solve. Without it every phase is
+        dense: full-SVD triplets, the dense Newton solve and exact
+        certificate sigmas, at most ``linalg.DENSE_FALLBACK_MAX_N`` unknowns
+        (``solve`` refuses more). With it every phase is Krylov: Lanczos
+        triplets on A^-1 A^-T, GCROT Newton steps preconditioned through
+        this LU, and the residual bound for sigma_min(A + Delta).
         """
         if self.m != self.n or self.m + self.n <= DENSE_THRESHOLD:
             return None
@@ -535,19 +537,31 @@ def _summarize(start: StartingPoint, result: SolveResult | None):
     return s
 
 
+def _over_dense_cap(P: ProblemInstance):
+    return DimensionMismatchError(
+        f"a {P.m} x {P.n} matrix without LU takes the dense route, which is capped "
+        f"at m + n = {linalg.DENSE_FALLBACK_MAX_N}"
+    )
+
+
 def solve(P: ProblemInstance) -> SolveResult:
     """Full solve: starting values, (multi-start) Newton, best-of selection.
 
     Returns the converged result of smallest ||Delta||_F, carrying per-start
     summaries and the singular-value certificate of A + Delta. An input that
-    is already numerically singular short-circuits to distance zero. Any
-    other A without LU (see ``ProblemInstance.factor``) is refused with
+    is already numerically singular short-circuits to distance zero. An A
+    without LU (see ``ProblemInstance.factor``) is refused with
     ``DimensionMismatchError`` above ``linalg.DENSE_FALLBACK_MAX_N``
-    unknowns (m + n), the dense route's memory cap. If no start converges,
-    ``AllStartsFailed`` is raised with the summaries and the best
-    non-converged result attached.
+    unknowns (m + n), the dense route's memory cap: a rectangular one
+    before its triplets, so also when it is rank-deficient; a square one,
+    whose LU found it exactly singular, only if its triplets do not. If no
+    start converges, ``AllStartsFailed`` is raised with the summaries and
+    the best non-converged result attached.
     """
     t0 = time.perf_counter()
+    if P.m != P.n and P.m + P.n > linalg.DENSE_FALLBACK_MAX_N:
+        # refused before its full SVD: a rectangular A has no LU
+        raise _over_dense_cap(P)
     K = min(P.options.multistart, P.m, P.n)
     trips, sigma_max_a = P.singular_triplets(K)
     sigma_min_a = trips[0][0]
@@ -558,10 +572,7 @@ def solve(P: ProblemInstance) -> SolveResult:
         result.sigma_min, result.sigma_max = float(sigma_min_a), float(sigma_max_a)
         return result
     if P.factor is None and P.m + P.n > linalg.DENSE_FALLBACK_MAX_N:
-        raise DimensionMismatchError(
-            f"a {P.m} x {P.n} matrix without LU takes the dense route, which is capped "
-            f"at m + n = {linalg.DENSE_FALLBACK_MAX_N}"
-        )
+        raise _over_dense_cap(P)
     starts = starting_values(P, K, trips)
     results = {s.index: line_search_newton(P, s.u0, s.v0, s.index)
                for s in starts if not s.skipped}

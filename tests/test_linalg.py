@@ -180,21 +180,110 @@ def test_dense_svd_of_large_sparse_input_raises(monkeypatch):
     smallest_singular_triplets(A.toarray(), 1)
 
 
-def test_lu_factor_solves_and_inverts_augmented():
+def test_lu_factor_solves_and_inverts_augmented(monkeypatch):
     rng = np.random.default_rng(19)
     n = 40
     A = sp.csr_array(sp.random(n, n, density=0.1, random_state=np.random.RandomState(19))
                      + 2.0 * sp.identity(n))
     b = rng.standard_normal(n)
-    for M in (A, A.toarray()):
-        f = factorize(M)
-        assert np.linalg.norm(A @ f.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
-        assert np.linalg.norm(A.T @ f.solve(b, trans=True) - b) <= 1e-12 * np.linalg.norm(b)
+    for spread in (0.0, 1.0):  # every sparse A densified for LAPACK, none
+        monkeypatch.setattr(linalg, "LU_FILL_SPREAD", spread)
+        assert linalg._lu_fills_in(A) == (spread == 0.0)
+        for M in (A, A.toarray()):
+            f = factorize(M)
+            assert np.linalg.norm(A @ f.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(A.T @ f.solve(b, trans=True) - b) <= 1e-12 * np.linalg.norm(b)
     singular = sp.csr_array(sp.diags(np.r_[np.ones(n - 1), 0.0]))
     assert factorize(singular) is None
     assert factorize(singular.toarray()) is None
     with pytest.raises(DimensionMismatchError):
         factorize(sp.csr_array(np.ones((3, 2))))
+
+
+def permuted(A, seed):
+    rng = np.random.default_rng(seed)
+    A = sp.csr_array(A)
+    return sp.csr_array(A[rng.permutation(A.shape[0])][:, rng.permutation(A.shape[1])])
+
+
+def random_graph(n, seed):
+    # about 5 entries per row, the benchmark's random input
+    A = sp.random(n, n, density=4 / n, random_state=np.random.RandomState(seed))
+    return sp.csr_array(A + 0.5 * sp.identity(n))
+
+
+def count_lu_kernels(monkeypatch):
+    """Count the calls of each LU kernel ``LUFactor`` can take."""
+    calls = {"superlu": 0, "lapack": 0}
+
+    def counting(kernel, fn):
+        def wrapped(*args, **kwargs):
+            calls[kernel] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(spla, "splu", counting("superlu", spla.splu))
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting("lapack", scipy.linalg.lu_factor))
+    return calls
+
+
+def test_lu_kernel_follows_the_fill_predictor(monkeypatch):
+    # a random graph's LU fills in, so LAPACK factors it densified; a
+    # 7-diagonal band and a 2D Laplacian keep a sparse LU under independent
+    # row and column permutations, so SuperLU factors them
+    n = 400
+    rng = np.random.default_rng(60)
+    band = sp.diags([rng.standard_normal(n - abs(k)) for k in range(-3, 4)], range(-3, 4))
+    T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(20, 20))
+    laplacian = sp.kron(T, sp.identity(20)) + sp.kron(sp.identity(20), T)
+    calls = count_lu_kernels(monkeypatch)
+    b = rng.standard_normal(n)
+    for A, kernel in ((permuted(random_graph(n, 60), 61), "lapack"),
+                      (permuted(band + 4.0 * sp.identity(n), 62), "superlu"),
+                      (permuted(laplacian, 63), "superlu")):
+        A = linalg.validate_matrix(A)
+        assert linalg._lu_fills_in(A) == (kernel == "lapack")
+        before = dict(calls)
+        f = factorize(A)
+        assert calls[kernel] == before[kernel] + 1 and sum(calls.values()) == sum(before.values()) + 1
+        assert np.linalg.norm(A @ f.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_lu_kernel_never_densifies_above_the_dense_cap(monkeypatch):
+    A = linalg.validate_matrix(permuted(random_graph(400, 64), 65))
+    assert linalg._lu_fills_in(A)
+    monkeypatch.setattr(linalg, "DENSE_FALLBACK_MAX_N", 399)
+    assert not linalg._lu_fills_in(A)
+    calls = count_lu_kernels(monkeypatch)
+    assert factorize(A) is not None
+    assert calls == {"superlu": 1, "lapack": 0}
+
+
+def test_singular_sparse_input_on_the_lapack_kernel(monkeypatch):
+    # LAPACK's exact zero pivot, like SuperLU's, means no LU; the solve then
+    # takes the dense triplets and reports distance 0
+    A = permuted(random_graph(400, 66), 67).tolil()
+    A[11, :] = 0.0
+    A = sp.csr_array(A)
+    assert linalg._lu_fills_in(A)
+    calls = count_lu_kernels(monkeypatch)
+    assert factorize(A) is None
+    assert calls == {"superlu": 0, "lapack": 1}
+    P = ProblemInstance(A)
+    assert P.factor is None
+    res = solve(P)
+    assert res.converged and res.distance == 0.0 and "singular" in res.message
+
+
+def test_frobenius_norm_matches_numpy():
+    rng = np.random.default_rng(68)
+    A = rng.standard_normal((30, 20))
+    for M in (A, sp.csr_array(A * (rng.random(A.shape) < 0.2)), np.zeros((4, 3)),
+              sp.csr_array((4, 3)), np.array([[-2.5]])):
+        expected = np.linalg.norm(M.toarray() if sp.issparse(M) else M, "fro")
+        norm = linalg.frobenius_norm(M)
+        assert isinstance(norm, float)
+        assert abs(norm - expected) <= 1e-14 * expected
 
 
 def test_spectral_norm():

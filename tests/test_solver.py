@@ -757,7 +757,13 @@ def test_rectangular_sparse_input_routing(monkeypatch):
     s = np.linalg.svd(A.toarray() + as_dense(res.delta), compute_uv=False)
     assert res.sigma_error == ""
     assert res.sigma_min == s[-1] and res.sigma_max == s[0]
+    # above the cap it is refused before its full SVD
     monkeypatch.setattr(linalg, "DENSE_FALLBACK_MAX_N", 100)
+
+    def no_svd(A, k):
+        raise AssertionError("dense triplets of a refused input")
+
+    monkeypatch.setattr(linalg, "_dense_triplets", no_svd)
     with pytest.raises(DimensionMismatchError, match=r"60 x 90 .* 100"):
         solve(ProblemInstance(A))
 
@@ -802,12 +808,37 @@ def test_routes_agree_on_dense_input_above_the_threshold(monkeypatch):
 
 def test_sparse_solve_factors_A_once(monkeypatch):
     # the certificate of A + Delta factors nothing: the LU of A, built for
-    # the triplets and the preconditioner, is the only one of the solve
+    # the triplets and the preconditioner, is the only one of the solve,
+    # whichever kernel factors it
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
+    A = sparse_instance(80, 40)
     built = count_lu(monkeypatch)
-    res = solve(ProblemInstance(sparse_instance(80, 40)))
-    assert res.converged and res.sigma_error == ""
-    assert built == [(80, 80)]
+    for spread in (0.0, 1.0):  # every sparse A densified for LAPACK, none
+        monkeypatch.setattr(linalg, "LU_FILL_SPREAD", spread)
+        assert linalg._lu_fills_in(A) == (spread == 0.0)
+        built.clear()
+        res = solve(ProblemInstance(A))
+        assert res.converged and res.sigma_error == ""
+        assert built == [(80, 80)]
+
+
+def test_lu_kernels_give_the_same_solve(monkeypatch):
+    # SuperLU and the densified LAPACK LU of one sparse random A precondition
+    # the same GCROT solves: same Newton steps, same Krylov directions
+    A = sp.csr_array(sp.random(400, 400, density=0.01, random_state=np.random.RandomState(47))
+                     + 0.5 * sp.identity(400))
+    results = []
+    for spread in (0.0, 1.0):  # every sparse A densified for LAPACK, none
+        monkeypatch.setattr(linalg, "LU_FILL_SPREAD", spread)
+        P = ProblemInstance(A)
+        assert P.factor is not None and linalg._lu_fills_in(A) == (spread == 0.0)
+        results.append(solve(P))
+    lapack, superlu = results
+    assert lapack.converged and superlu.converged
+    assert (lapack.iterations, lapack.backtracks) == (superlu.iterations, superlu.backtracks)
+    assert [r.inner_iterations for r in lapack.trace] == [r.inner_iterations for r in superlu.trace]
+    assert lapack.inner_iterations > 0
+    assert abs(lapack.distance - superlu.distance) <= 1e-12 * superlu.distance
 
 
 def test_sparse_one_column_input_takes_dense_certificate(monkeypatch):

@@ -65,14 +65,15 @@ DENSE_FALLBACK_MAX_N = 4000
 #: fill predictor of ``LUFactor``: a sparse A whose rows, in the reverse
 #: Cuthill-McKee column order of its bipartite graph, span on average more
 #: than this fraction of the n columns is densified and factored by LAPACK,
-#: since its sparse LU fills in. It is the measured crossover (n = 400-3000,
-#: 2 BLAS threads; BENCH_lu_kernel.json): random graphs with 2 entries off
-#: the diagonal per row read 0.28-0.29 and SuperLU factors them 2.6-3.2x
-#: faster; with 3 they read 0.41-0.42 and the kernels are level (LAPACK
-#: faster at 4 of 5 sizes); with 4-5 they read 0.51-0.59 and LAPACK is
-#: 1.7-4.3x faster. Banded, 2D and 3D Laplacian and block-diagonal input
-#: read at most 0.12, where SuperLU is 2.4-30x faster.
-LU_FILL_SPREAD = 0.4
+#: since its sparse LU fills in. It is the measured crossover of a solve's
+#: whole LU cost, the factor plus the 41-75 solves through it that one
+#: solve of a benchmark input made (n = 400-3000, 2 BLAS threads;
+#: BENCH_lu_kernel.json): random graphs reading up to 0.45 cost 5-43% more
+#: densified at n = 800-1500, those reading 0.46-0.47 cost the same either
+#: way at n = 800-1500, and from 0.49 up the densified LU is cheaper at
+#: every size. Banded, 2D and 3D Laplacian and block-diagonal input read at
+#: most 0.12.
+LU_FILL_SPREAD = 0.47
 
 #: inner FGMRES cycle length m of GCROT(m, k); the preconditioned Newton
 #: systems converge within one cycle. Every solve starts from x0 = 0 with
@@ -168,8 +169,8 @@ class LUFactor:
 
     SuperLU factors a sparse A whose LU stays sparse. LAPACK factors a dense
     A, and a sparse A whose LU is predicted to fill in (``_lu_fills_in``),
-    densified: on a 2,100-row random graph with 5 entries per row, 140 ms
-    instead of SuperLU's 340 ms.
+    densified: on a 2,100-row random graph with 5 entries per row, 84 ms
+    instead of SuperLU's 247 ms.
     An exactly singular A raises ``RuntimeError`` (SuperLU) or
     ``np.linalg.LinAlgError`` (LAPACK).
     """

@@ -16,7 +16,6 @@ import os
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
-from scipy.io import _fast_matrix_market
 
 from .errors import InputError
 from .gcd import PolynomialPair
@@ -36,16 +35,10 @@ __all__ = [
 
 
 def _read_mm(path):
-    # parsed on one thread (the knob threadpoolctl would set): with a thread
-    # per CPU, reads of 0.1-3 MB files took 1.3-1.6x as long on 2 CPUs, and
-    # longer still while a BLAS pool spins after a dense LU (BENCH_lu_kernel.json)
-    saved, _fast_matrix_market.PARALLELISM = _fast_matrix_market.PARALLELISM, 1
     try:
         return scipy.io.mmread(path)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read Matrix Market file {path!r}: {exc}") from exc
-    finally:
-        _fast_matrix_market.PARALLELISM = saved
 
 
 def read_matrix(path) -> np.ndarray | sp.csr_array:

@@ -44,29 +44,6 @@ def test_sparse_matrix_roundtrip(tmp_path):
     assert np.allclose(as_dense(B), as_dense(A), atol=1e-14)
 
 
-def test_reads_parse_on_one_thread_and_restore_the_setting(tmp_path, monkeypatch):
-    # the parser's thread count is set for the read only, also when it fails
-    from scipy.io import _fast_matrix_market
-
-    seen = []
-    mmread = scipy.io.mmread
-
-    def recording(path):
-        seen.append(_fast_matrix_market.PARALLELISM)
-        return mmread(path)
-
-    monkeypatch.setattr(scipy.io, "mmread", recording)
-    before = _fast_matrix_market.PARALLELISM
-    path = tmp_path / "a.mtx"
-    write_matrix(path, sp.csr_array(np.eye(3)))
-    read_matrix(path)
-    (tmp_path / "bad.mtx").write_text("not a matrix\n")
-    with pytest.raises(InputError):
-        read_matrix(tmp_path / "bad.mtx")
-    assert seen == [1, 1]
-    assert _fast_matrix_market.PARALLELISM == before
-
-
 def test_read_pattern_from_coordinate_file(tmp_path):
     coo = sp.coo_array((np.array([1.0, 2.0, 3.0]),
                         (np.array([0, 1, 2]), np.array([1, 0, 2]))), shape=(3, 3))

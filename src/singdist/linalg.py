@@ -10,11 +10,11 @@ backends stay swappable:
   triplet solver and the Newton preconditioner share it, so A is factored
   once per problem.
 * ``smallest_singular_triplets``: the K smallest singular triplets of a dense
-  or sparse matrix. Handed an ``LUFactor`` of A, it runs Lanczos on
-  A^-1 A^-T, two triangular solves per step, whose largest eigenvalues are
-  1 / sigma^2 of the smallest singular values, so it is robust for singular
-  values near zero; without one it takes a full SVD. The caller decides
-  which by passing the LU or not.
+  or sparse matrix, checked against ||A||_F. Handed an ``LUFactor`` of A,
+  it runs Lanczos on A^-1 A^-T, two triangular solves per step, whose
+  largest eigenvalues are 1 / sigma^2 of the smallest singular values, so
+  it is robust for singular values near zero; without one it takes a full
+  SVD. The caller decides which by passing the LU or not.
 * ``solve_dense``: LU solve with a condition estimate, falling back to a
   minimum-norm least-squares solution when the matrix is numerically
   singular.
@@ -92,7 +92,8 @@ RCOND_CUTOFF = 1e-14
 #: relative residual bound singular triplets must satisfy
 TRIPLET_RESIDUAL_TOL = 1e-10
 
-#: Lanczos basis size of ``spectral_norm``. sigma_max agrees with ARPACK's
+#: Lanczos basis size of ``spectral_norm``, run on A + Delta only, a solve's
+#: last heavy call before the next set-up. sigma_max agrees with ARPACK's
 #: default basis of 20 vectors to rounding, and on 2,100-row sparse inputs
 #: the set-up that follows in the same process ran in 20 ms instead of
 #: 31 ms (sparse-krylov benchmark, 2 vCPUs). The default basis is up to 10x
@@ -224,7 +225,7 @@ def _dense_triplets(A, k):
     out = []
     for i in range(1, k + 1):
         out.append((float(s[-i]), U[:, -i].copy(), Vt[-i, :].copy()))
-    return out, float(s[0])
+    return out
 
 
 def _lanczos_triplets(A, k, factor):
@@ -276,34 +277,32 @@ def spectral_norm(A):
 
 
 def smallest_singular_triplets(A, k=1, *, factor=None):
-    """The ``k`` smallest singular triplets of ``A``, ascending in sigma, and sigma_max(A).
+    """The ``k`` smallest singular triplets of ``A``, ascending in sigma.
 
-    Returns ``(trips, sigma_max)``: a list of (sigma, u, v) with unit-norm
-    vectors satisfying ``A v = sigma u`` and ``A^T u = sigma v`` to a
-    relative residual of 1e-10, and the largest singular value of ``A``,
-    which every route computes for that check. With ``factor``, an
-    ``LUFactor`` of a square A (dense or sparse), the triplets come from
-    Lanczos on A^-1 A^-T from a fixed start vector (seed 0) and sigma_max
-    from ``spectral_norm``; if Lanczos fails or is asked for k >= n - 1
-    pairs, and without ``factor``, a full SVD takes over. The SVD of
-    a sparse A with more than ``DENSE_FALLBACK_MAX_N``^2 entries raises
-    ``TripletError``, as does a triplet residual above the bound, with the
-    achieved residual.
+    A list of (sigma, u, v) with unit-norm vectors satisfying
+    ``A v = sigma u`` and ``A^T u = sigma v`` to a residual of
+    ``TRIPLET_RESIDUAL_TOL`` relative to ||A||_F, which bounds sigma_max(A)
+    from above and costs no Lanczos run. With ``factor``, an ``LUFactor``
+    of a square A (dense or sparse), they come from Lanczos on A^-1 A^-T
+    from a fixed start vector (seed 0); if Lanczos fails or is asked for
+    k >= n - 1 pairs, and without ``factor``, a full SVD takes over. The
+    SVD of a sparse A with more than ``DENSE_FALLBACK_MAX_N``^2 entries
+    raises ``TripletError``, as does a triplet residual above the bound,
+    with the achieved residual.
     """
     A = validate_matrix(A)
     m, n = A.shape
     if k < 1 or k > min(m, n):
         raise DimensionMismatchError(f"k={k} out of range for shape {A.shape}")
     if factor is None:
-        trips, norm_a = _dense_triplets(A, k)
+        trips = _dense_triplets(A, k)
     else:
         try:
             trips = _lanczos_triplets(A, k, factor)
-            norm_a = spectral_norm(A)
         except (TripletError, RuntimeError, np.linalg.LinAlgError):
             # k >= n - 1, Lanczos breakdown or no convergence
-            trips, norm_a = _dense_triplets(A, k)
-    scale = max(norm_a, 1e-300)
+            trips = _dense_triplets(A, k)
+    scale = max(frobenius_norm(A), 1e-300)
     worst = 0.0
     for sigma, u, v in trips:
         r1 = np.linalg.norm(A @ v - sigma * u)
@@ -314,7 +313,7 @@ def smallest_singular_triplets(A, k=1, *, factor=None):
             f"singular triplet residual {worst:.3e} exceeds {TRIPLET_RESIDUAL_TOL:.1e}",
             achieved_residual=worst,
         )
-    return trips, norm_a
+    return trips
 
 
 @dataclasses.dataclass

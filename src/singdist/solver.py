@@ -60,7 +60,7 @@ __all__ = [
     "solve",
 ]
 
-#: relative sigma_min below which the input counts as already singular
+#: sigma_min(A) / ||A||_F at or below which the input counts as already singular
 SINGULAR_INPUT_RTOL = 1e-14
 
 #: starts whose projected rank-1 direction has norm below this are skipped
@@ -117,8 +117,10 @@ class ProblemInstance:
 
     ``structure`` defaults to the sparsity pattern of A itself, the natural
     setting for preserving the nonzero structure of a sparse matrix. A may
-    be rectangular, in which case the computed distance is to the nearest
+    be tall, in which case the computed distance is to the nearest
     rank-deficient matrix; u and v then have the row and column dimensions.
+    A wide A (m < n), whose own kernel vectors are roots with u = 0, is
+    refused: its transpose, with the transposed structure, is not.
     A is held once: A^T products use its transpose view, and each Newton
     step builds its block B = A + ... once (``bordered_jacobian``).
     """
@@ -128,6 +130,9 @@ class ProblemInstance:
         if self.A.shape[0] < 1 or self.A.shape[1] < 1:
             raise DimensionMismatchError("matrix must be nonempty")
         self.m, self.n = self.A.shape
+        if self.m < self.n:
+            raise DimensionMismatchError(f"a wide {self.m} x {self.n} matrix is not supported: "
+                                         f"solve its {self.n} x {self.m} transpose")
         if structure is None:
             structure = SparsityPattern.from_matrix(self.A)
         if structure.shape != self.A.shape:
@@ -163,10 +168,6 @@ class ProblemInstance:
         if self.m != self.n or self.m + self.n <= DENSE_THRESHOLD:
             return None
         return linalg.factorize(self.A)
-
-    def singular_triplets(self, k):
-        """The k smallest singular triplets of A and sigma_max(A), routed by the instance."""
-        return linalg.smallest_singular_triplets(self.A, k, factor=self.factor)
 
 
 def residual_G(P: ProblemInstance, u, v):
@@ -346,13 +347,13 @@ class StartSummary:
 class SolveResult:
     """Outcome of a Newton run (or of the best start under multi-start).
 
-    ``sigma_min`` and ``sigma_max`` of A + Delta are set by ``solve`` on its
-    converged result. For an A without LU (``ProblemInstance.factor`` is
-    None) both are exact, from a full SVD. For an A with LU, dense or
-    sparse, ``sigma_min`` is the residual upper bound ||(A + Delta) v||
-    (or its left counterpart, whichever is smaller), which certifies
-    singularity without factoring A + Delta, and ``sigma_error`` can only
-    come from the Lanczos run for ``sigma_max``.
+    ``sigma_min`` and ``sigma_max`` of A + Delta are set by ``solve`` on the
+    result it returns, a singular input's included. For an A without LU
+    (``ProblemInstance.factor`` is None) both are exact, from a full SVD.
+    For an A with LU, dense or sparse, ``sigma_min`` is the residual upper
+    bound ||(A + Delta) v|| (or its left counterpart, whichever is smaller),
+    which certifies singularity without factoring A + Delta, and
+    ``sigma_error`` can only come from the Lanczos run for ``sigma_max``.
     """
 
     converged: bool
@@ -478,9 +479,10 @@ def starting_values(P: ProblemInstance, K: int | None = None, triplets=None):
     if K < 1:
         raise ValueError("K must be at least 1")
     K = min(K, min(P.m, P.n))
-    trips = triplets if triplets is not None else P.singular_triplets(K)[0]
+    if triplets is None:
+        triplets = linalg.smallest_singular_triplets(P.A, K, factor=P.factor)
     out = []
-    for k, (sigma, uk, vk) in enumerate(trips, start=1):
+    for k, (sigma, uk, vk) in enumerate(triplets, start=1):
         # summed in numpy: np.linalg.norm's threaded BLAS dot stalls after the SVD
         pn = math.sqrt(np.square(P.structure.apply_mt(vk, uk)).sum())
         if pn < START_PROJECTION_TOL:
@@ -502,11 +504,11 @@ def _certificate_sigmas(P: ProblemInstance, result: SolveResult):
     Routed like the rest of the solve. Without an LU of A both sigmas are
     exact, from a full SVD. With one, A is square and B is not factored:
     ``sigma_min`` is the residual upper bound the root (u, v) gives,
-    min(||B v|| / ||v||, ||B^T u|| / ||u||) computed explicitly from B, and
-    ``sigma_max`` comes from one Lanczos run (``linalg.spectral_norm``),
-    the only step there that can fail. ``reason`` is empty on success and
-    otherwise a fixed string naming the exception, so reports stay
-    deterministic.
+    min(||B v|| / ||v||, ||B^T u|| / ||u||) computed explicitly from B (the
+    first alone when u = 0), and ``sigma_max`` comes from one Lanczos run
+    (``linalg.spectral_norm``), the only step there that can fail.
+    ``reason`` is empty on success and otherwise a fixed string naming the
+    exception, so reports stay deterministic.
     """
     try:
         B = P.A + result.delta
@@ -516,7 +518,7 @@ def _certificate_sigmas(P: ProblemInstance, result: SolveResult):
         smax = linalg.spectral_norm(B)
         u, v = result.u, result.v
         smin = min(np.linalg.norm(B @ v) / np.linalg.norm(v),
-                   np.linalg.norm(B.T @ u) / np.linalg.norm(u))
+                   np.linalg.norm(B.T @ u) / np.linalg.norm(u) if u.any() else math.inf)
         return float(smin), smax, ""
     except (SingdistError, RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
         return None, None, f"sigma(A+Delta) not computed: {type(exc).__name__}"
@@ -548,50 +550,48 @@ def solve(P: ProblemInstance) -> SolveResult:
     """Full solve: starting values, (multi-start) Newton, best-of selection.
 
     Returns the converged result of smallest ||Delta||_F, carrying per-start
-    summaries and the singular-value certificate of A + Delta. An input that
-    is already numerically singular short-circuits to distance zero. An A
-    without LU (see ``ProblemInstance.factor``) is refused with
-    ``DimensionMismatchError`` above ``linalg.DENSE_FALLBACK_MAX_N``
-    unknowns (m + n), the dense route's memory cap: a rectangular one
-    before its triplets, so also when it is rank-deficient; a square one,
-    whose LU found it exactly singular, only if its triplets do not. If no
-    start converges, ``AllStartsFailed`` is raised with the summaries and
-    the best non-converged result attached.
+    summaries and the singular-value certificate of A + Delta. An input
+    with sigma_min(A) <= ``SINGULAR_INPUT_RTOL`` ||A||_F short-circuits to
+    distance zero. An A without LU (see ``ProblemInstance.factor``) is
+    refused with ``DimensionMismatchError`` above
+    ``linalg.DENSE_FALLBACK_MAX_N`` unknowns (m + n), the dense route's
+    memory cap: a rectangular one before its triplets, so also when it is
+    rank-deficient; a square one, whose LU found it exactly singular, only
+    if its triplets do not. If no start converges, ``AllStartsFailed`` is
+    raised with the summaries and the best non-converged result attached.
     """
     t0 = time.perf_counter()
     if P.m != P.n and P.m + P.n > linalg.DENSE_FALLBACK_MAX_N:
         # refused before its full SVD: a rectangular A has no LU
         raise _over_dense_cap(P)
     K = min(P.options.multistart, P.m, P.n)
-    trips, sigma_max_a = P.singular_triplets(K)
-    sigma_min_a = trips[0][0]
-    if sigma_min_a <= SINGULAR_INPUT_RTOL * max(sigma_max_a, 1e-300):
+    trips = linalg.smallest_singular_triplets(P.A, K, factor=P.factor)
+    if trips[0][0] <= SINGULAR_INPUT_RTOL * P.norm_fro:
         # Already singular: the zero perturbation is optimal.
-        result = _finalize(P, SolverState.at(P, np.zeros(P.m), trips[0][2]), True,
-                           "input numerically singular; distance 0", [], 0, t0)
-        result.sigma_min, result.sigma_max = float(sigma_min_a), float(sigma_max_a)
-        return result
-    if P.factor is None and P.m + P.n > linalg.DENSE_FALLBACK_MAX_N:
-        raise _over_dense_cap(P)
-    starts = starting_values(P, K, trips)
-    results = {s.index: line_search_newton(P, s.u0, s.v0, s.index)
-               for s in starts if not s.skipped}
-    summaries = [_summarize(s, results.get(s.index)) for s in starts]
-    if not results:
-        raise AllStartsFailed(
-            "every start was skipped (structure orthogonal to all rank-1 directions)",
-            starts=summaries,
-        )
-    converged = [r for r in results.values() if r.converged]
-    if not converged:
-        best = min(results.values(), key=lambda r: r.grad_norm)
+        best = _finalize(P, SolverState.at(P, np.zeros(P.m), trips[0][2]), True,
+                         "input numerically singular; distance 0", [], 0, t0)
+    else:
+        if P.factor is None and P.m + P.n > linalg.DENSE_FALLBACK_MAX_N:
+            raise _over_dense_cap(P)
+        starts = starting_values(P, K, trips)
+        results = {s.index: line_search_newton(P, s.u0, s.v0, s.index)
+                   for s in starts if not s.skipped}
+        summaries = [_summarize(s, results.get(s.index)) for s in starts]
+        if not results:
+            raise AllStartsFailed(
+                "every start was skipped (structure orthogonal to all rank-1 directions)",
+                starts=summaries,
+            )
+        converged = [r for r in results.values() if r.converged]
+        if not converged:
+            best = min(results.values(), key=lambda r: r.grad_norm)
+            best.starts = summaries
+            best.wall_time = time.perf_counter() - t0
+            raise AllStartsFailed(
+                "no Newton start converged", starts=summaries, best=best,
+            )
+        best = min(converged, key=lambda r: r.distance)
         best.starts = summaries
-        best.wall_time = time.perf_counter() - t0
-        raise AllStartsFailed(
-            "no Newton start converged", starts=summaries, best=best,
-        )
-    best = min(converged, key=lambda r: r.distance)
-    best.starts = summaries
     best.sigma_min, best.sigma_max, best.sigma_error = _certificate_sigmas(P, best)
     best.wall_time = time.perf_counter() - t0
     return best

@@ -177,8 +177,10 @@ def test_default_eps_does_not_bias_a_large_distance(shape):
     # eps enters u as a relative error eps / k1, so the gradient test is
     # biased in proportion to the distance: at the former default of
     # 1e-10 ||A||_F^2 these converged solves (distance 2.15 and 1.91)
-    # FAILed with |grad| 2.5e-6 and 2.0e-6; at the default they PASS
+    # FAILed with |grad| 2.5e-6 and 2.0e-6; at the default they PASS. A
+    # wide draw is solved as its tall transpose, which has its distance
     A = np.random.default_rng(1).standard_normal(shape)
+    A = A.T if shape[0] < shape[1] else A
     P = ProblemInstance(A, FullStructure(A.shape))
     res = solve(P)
     assert res.converged and res.distance > 1.5

@@ -376,7 +376,7 @@ def test_starting_values_take_the_norm_of_delta_coordinates(monkeypatch):
     for S in (FullStructure(6, 5), random_pattern(rng, 6, 5)[0],
               random_orthonormal_basis(rng, 6, 5, 9)):
         P = ProblemInstance(A, S)
-        trips = P.singular_triplets(3)[0]
+        trips = linalg.smallest_singular_triplets(P.A, 3, factor=P.factor)
         calls = count_structure_calls(monkeypatch, ("project_rank1",))
         starts = starting_values(P, 3, trips)
         assert calls["project_rank1"] == 0
@@ -419,11 +419,17 @@ def test_multistart_returns_minimum():
 
 
 def test_solve_degenerate_singular_input():
-    A = np.diag([1.0, 0.0])
-    res = solve(full_instance(A))
-    assert res.converged
-    assert res.distance == 0.0
-    assert "singular" in res.message
+    # singular to SINGULAR_INPUT_RTOL ||A||_F, not to that times sigma_max(A):
+    # the 1.5e-14 entry is below 1e-14 sqrt(3), so no Newton step is taken,
+    # and the certificate sigmas are A's own, from its full SVD
+    for A in (np.diag([1.0, 0.0]), np.diag([1.0, 1.0, 1.0, 1.5e-14])):
+        res = solve(full_instance(A))
+        assert res.converged and res.iterations == 0
+        assert res.distance == 0.0
+        assert res.message == "input numerically singular; distance 0"
+        s = np.linalg.svd(A, compute_uv=False)
+        assert res.sigma_error == ""
+        assert res.sigma_min == s[-1] and res.sigma_max == s[0]
 
 
 def test_all_starts_failed_carries_best():
@@ -475,12 +481,26 @@ def assert_sigma_bound(A, res):
 
 
 def test_krylov_path_matches_dense_path(monkeypatch):
+    # no route computes sigma_max(A): the dense route takes both certificate
+    # sigmas from one SVD, and the Krylov route's one Lanczos run for a
+    # largest singular value is on A + Delta
     A = sparse_instance(80, 40)
+    spectral_norm_args = []
+    spectral_norm = linalg.spectral_norm
+
+    def recording_spectral_norm(B):
+        spectral_norm_args.append(B)
+        return spectral_norm(B)
+
+    monkeypatch.setattr(linalg, "spectral_norm", recording_spectral_norm)
     dense = solve(ProblemInstance(A))
+    assert spectral_norm_args == []
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
     P = ProblemInstance(A)
     assert P.factor is not None
     krylov = solve(P)
+    [B] = spectral_norm_args
+    assert np.array_equal(as_dense(B), as_dense(A + krylov.delta))
     assert dense.converged and krylov.converged
     assert abs(krylov.distance - dense.distance) <= 1e-10 * dense.distance
     assert krylov.inner_iterations > 0
@@ -555,13 +575,13 @@ def test_dense_route_builds_each_gram_factor_once(monkeypatch):
     # a basis fills all of H from one m_matrix and one n_matrix and never
     # calls the pattern kernel; a pattern uses the pattern kernel alone
     rng = np.random.default_rng(25)
-    A = rng.standard_normal((5, 6))
+    A = rng.standard_normal((6, 5))
     ops = ("m_matrix", "n_matrix", "gram_diagonals", "h_offdiag", "project_rank1")
     calls = count_structure_calls(monkeypatch, ops)
-    u, v = rng.standard_normal(5), rng.standard_normal(6)
-    cases = ((random_orthonormal_basis(rng, 5, 6, 8),
+    u, v = rng.standard_normal(6), rng.standard_normal(5)
+    cases = ((random_orthonormal_basis(rng, 6, 5, 8),
               {"m_matrix": 1, "n_matrix": 1, "project_rank1": 1}),
-             (random_pattern(rng, 5, 6)[0], {"gram_diagonals": 1, "h_offdiag": 1}))
+             (random_pattern(rng, 6, 5)[0], {"gram_diagonals": 1, "h_offdiag": 1}))
     for S, expected in cases:
         P = ProblemInstance(A, S)
         assert P.factor is None
@@ -714,6 +734,44 @@ def test_singular_sparse_input_above_threshold_short_circuits(monkeypatch):
         assert built == [(60, 60)]
 
 
+def test_nearly_singular_input_with_an_lu_short_circuits():
+    # sigma_min(A) = 1e-13 is at most 1e-14 ||A||_F (1.4e-13), though not
+    # 1e-14 sigma_max(A): the Lanczos triplets of this A with an LU find it
+    # singular, and with u = 0 its certificate sigma_min is ||A v|| alone
+    d = np.ones(200)
+    d[123] = 1e-13
+    P = ProblemInstance(sp.csr_array(sp.diags(d)))
+    assert P.factor is not None
+    res = solve(P)
+    assert res.converged and res.distance == 0.0 and res.iterations == 0
+    assert res.message == "input numerically singular; distance 0"
+    assert res.sigma_error == ""
+    assert abs(res.sigma_min - 1e-13) <= 1e-6 * 1e-13
+    assert abs(res.sigma_max - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(9, 12), (30, 40), (60, 90), (80, 120)])
+def test_wide_input_is_refused_and_its_transpose_converges_only_at_a_root(shape):
+    # for m < n every unit kernel vector v of A, with u = 0 and Delta = 0,
+    # is a root of G: at 60 x 90 and 80 x 120 such solves reported distances
+    # of 7e-23 to 2e-15 with a sigma_min(A + Delta) of about 0.3. A wide A is
+    # refused, naming its transpose, and a converged tall transpose has
+    # A + Delta singular
+    m, n = shape
+    for seed in range(3):
+        A = sp.csr_array(sp.random(m, n, density=5 / n, random_state=np.random.default_rng(seed))
+                         + sp.eye(m, n))
+        with pytest.raises(DimensionMismatchError, match=rf"wide {m} x {n} .* {n} x {m}"):
+            ProblemInstance(A)
+        T = sp.csr_array(A.T)
+        try:
+            res = solve(ProblemInstance(T))
+        except AllStartsFailed:
+            continue
+        s = np.linalg.svd(T.toarray() + as_dense(res.delta), compute_uv=False)
+        assert res.converged and s[-1] <= 1e-8 * linalg.frobenius_norm(T)
+
+
 def test_dense_input_above_threshold_reuses_its_lu(monkeypatch):
     # dense A takes the routes of sparse A: its one LU gives the triplets by
     # Lanczos on A^-1 A^-T and preconditions the Newton steps, and the
@@ -746,14 +804,16 @@ def test_rectangular_sparse_input_routing(monkeypatch):
     # no LU for a rectangular A: above the threshold every phase stays on
     # the dense route, with exact certificate sigmas, up to the dense
     # route's cap; above the cap the solve is refused, naming shape and cap
-    A = sp.csr_array(sp.random(60, 90, density=0.3, random_state=np.random.RandomState(44)))
+    A = sp.csr_array(sp.random(60, 90, density=0.3, random_state=np.random.RandomState(44)).T)
     default = solve(ProblemInstance(A))
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 20)
     P = ProblemInstance(A)
     assert P.factor is None and P.m + P.n > solver.DENSE_THRESHOLD
     res = solve(P)
     assert default.converged and res.converged
+    assert res.iterations == default.iterations == 4
     assert res.distance == default.distance and res.inner_iterations == 0
+    assert abs(res.distance - 0.964482) <= 1e-6
     s = np.linalg.svd(A.toarray() + as_dense(res.delta), compute_uv=False)
     assert res.sigma_error == ""
     assert res.sigma_min == s[-1] and res.sigma_max == s[0]
@@ -764,7 +824,7 @@ def test_rectangular_sparse_input_routing(monkeypatch):
         raise AssertionError("dense triplets of a refused input")
 
     monkeypatch.setattr(linalg, "_dense_triplets", no_svd)
-    with pytest.raises(DimensionMismatchError, match=r"60 x 90 .* 100"):
+    with pytest.raises(DimensionMismatchError, match=r"90 x 60 .* 100"):
         solve(ProblemInstance(A))
 
 
@@ -855,21 +915,18 @@ def test_sparse_one_column_input_takes_dense_certificate(monkeypatch):
 
 
 def test_sparse_certificate_failure_is_recorded(monkeypatch):
-    # the Lanczos run for sigma_max(A + Delta), the second svds call of the
-    # solve after the one for sigma_max(A), fails without failing the solve
+    # the Lanczos run for sigma_max(A + Delta), the only svds call of the
+    # solve, fails without failing the solve
     calls = []
-    svds = spla.svds
 
-    def failing_second_svds(*args, **kwargs):
+    def failing_svds(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 2:
-            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-        return svds(*args, **kwargs)
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(solver, "DENSE_THRESHOLD", 100)
-    monkeypatch.setattr(spla, "svds", failing_second_svds)
+    monkeypatch.setattr(spla, "svds", failing_svds)
     res = solve(ProblemInstance(sparse_instance(80, 40)))
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert res.converged
     assert res.sigma_min is None and res.sigma_max is None
     assert res.sigma_error == "sigma(A+Delta) not computed: ArpackNoConvergence"

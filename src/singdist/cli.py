@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import __version__, linalg, mmio
-from .errors import AllStartsFailed, InputError, SingdistError
+from .errors import InputError, SingdistError
 from .gcd import extract_cofactors, build_sylvester, gcd_distance, make_test_polynomials
 from .oracle import certify_solution
 from .solver import ProblemInstance, SolverOptions, solve
@@ -98,13 +98,13 @@ def _solver_options(args) -> SolverOptions:
     )
 
 
-def _result_report(command, input_desc, options, result, converged):
+def _result_report(command, input_desc, options, result):
     return {
         "schema": SCHEMA_VERSION,
         "command": command,
         "input": input_desc,
         "options": options,
-        "converged": converged,
+        "converged": result.converged,
         "distance": result.distance,
         "grad_norm": result.grad_norm,
         "residual_av": result.residual_av,
@@ -125,8 +125,6 @@ def _result_report(command, input_desc, options, result, converged):
 
 def cmd_solve(args) -> int:
     A = mmio.read_matrix(args.matrix)
-    if A.shape[0] != A.shape[1]:
-        raise InputError(f"matrix must be square, got {A.shape[0]}x{A.shape[1]}")
     structure, structure_desc = _load_structure(args, A)
     P = ProblemInstance(A, structure, _solver_options(args))
     input_desc = {
@@ -139,17 +137,11 @@ def cmd_solve(args) -> int:
     }
     options = dataclasses.asdict(P.options)
     options["grad_tol_resolved"] = P.grad_tol
-    try:
-        result = solve(P)
-    except AllStartsFailed as exc:
-        if exc.best is None:
-            raise InputError(str(exc)) from exc
-        result = exc.best
-    converged = result.converged
-    report = _result_report("solve", input_desc, options, result, converged)
+    result = solve(P)
+    report = _result_report("solve", input_desc, options, result)
     print(f"matrix {args.matrix}: {P.m} x {P.n}, nnz {input_desc['nnz']}, "
           f"structure {structure_desc} (dim {structure.dim})")
-    if converged:
+    if result.converged:
         cert = certify_solution(P, result)
         report["certification"] = cert
         print(f"distance ||Delta||_F = {result.distance:.12e}")
@@ -170,7 +162,7 @@ def cmd_solve(args) -> int:
         mmio.write_matrix(args.write_delta, result.delta)
         print(f"perturbation written to {args.write_delta}")
     _emit(report, args.out)
-    return 0 if converged else 2
+    return 0 if result.converged else 2
 
 
 def _parse_sweep(text):
@@ -296,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="nearest structured singular matrix")
-    ps.add_argument("matrix", help="square matrix in Matrix Market format")
+    ps.add_argument("matrix", help="square or tall matrix in Matrix Market format")
     _add_structure_flags(ps)
     ps.add_argument("--multistart", type=int, default=1, metavar="K",
                     help="number of singular-triplet starts")

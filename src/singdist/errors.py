@@ -22,12 +22,11 @@ class TripletError(SingdistError):
 
 
 class AllStartsFailed(SingdistError):
-    """No Newton start converged; carries the per-start summaries."""
+    """No start could run: every one was skipped; carries the per-start summaries."""
 
-    def __init__(self, message, starts=None, best=None):
+    def __init__(self, message, starts=None):
         super().__init__(message)
         self.starts = starts if starts is not None else []
-        self.best = best
 
 
 class ExtractionError(SingdistError):

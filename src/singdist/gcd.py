@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import AllStartsFailed, ExtractionError, InputError
+from .errors import ExtractionError, InputError
 from .solver import ProblemInstance, SolveResult, SolverOptions, solve
 from .structure import BasisStructure
 
@@ -161,18 +161,15 @@ def gcd_distance(pair: PolynomialPair, d: int, options: SolverOptions | None = N
     """Smallest coefficient perturbation giving p, q a GCD of degree d.
 
     Runs the Newton solver on the Sylvester instance. A non-converged best
-    effort is still reported (with ``converged=False``) rather than raised,
-    since distances near machine precision legitimately defeat the residual
-    test; ``reliable`` is False whenever distance^2 < 1e-15.
+    effort, as ``solve`` returns it, is still reported (with
+    ``converged=False`` and a warning), since distances near machine
+    precision legitimately defeat the residual test; ``reliable`` is False
+    whenever distance^2 < 1e-15. ``AllStartsFailed`` from ``solve``, when
+    no start could run, propagates.
     """
     inst = build_sylvester(pair, d)
     P = ProblemInstance(inst.matrix, inst.structure, options)
-    try:
-        result = solve(P)
-    except AllStartsFailed as exc:
-        if exc.best is None:
-            raise
-        result = exc.best
+    result = solve(P)
     coords = inst.structure.coefficients(result.delta)
     delta_p = coords[: pair.deg_p + 1]
     delta_q = coords[pair.deg_p + 1 :]

@@ -25,7 +25,7 @@ triplet (sigma, u_k, v_k) the initial pair is v_0 = v_k and
 u_0 = -sigma_hat u_k with sigma_hat = sigma / ||project_rank1(u_k, v_k)||^2,
 which makes A + Delta_0 orthogonal to the rank-1 direction u_k v_k^T.
 Multi-start runs Newton from several triplets and keeps the converged result
-of smallest ||Delta||.
+of smallest ||Delta||, or, when none converged, the run of smallest ||G||.
 """
 
 from __future__ import annotations
@@ -347,9 +347,12 @@ class StartSummary:
 class SolveResult:
     """Outcome of a Newton run (or of the best start under multi-start).
 
-    ``sigma_min`` and ``sigma_max`` of A + Delta are set by ``solve`` on the
-    result it returns, a singular input's included. For an A without LU
-    (``ProblemInstance.factor`` is None) both are exact, from a full SVD.
+    ``converged`` is True only when ``message`` is "converged" (or names a
+    singular input); otherwise ``message`` says why the run stopped.
+    ``sigma_min`` and ``sigma_max`` of A + Delta are set by ``solve`` on
+    every result it returns, converged or not, a singular input's included.
+    For an A without LU (``ProblemInstance.factor`` is None) both are
+    exact, from a full SVD.
     For an A with LU, dense or sparse, ``sigma_min`` is the residual upper
     bound ||(A + Delta) v|| (or its left counterpart, whichever is smaller),
     which certifies singularity without factoring A + Delta, and
@@ -409,46 +412,43 @@ def line_search_newton(P: ProblemInstance, start_u, start_v, start_index: int = 
     Each step solves the bordered system for the Newton direction (see
     ``newton_step``), then halves the step length until || G || at the trial
     point, rescaled to || v || = 1 through the gauge, strictly decreases; a
-    trial point with no such representative counts as no descent. The first
-    failure to descend within the backtrack budget ends the run with the
-    best iterate flagged non-converged. Every iterate, the returned one
-    included, has || v || = 1.
+    trial point with no such representative counts as no descent. The run
+    stops for one of four reasons, which become the result's ``message``:
+    a non-finite residual at the start, "converged", no descent within the
+    backtrack budget, or the iteration budget exhausted. Whatever the
+    reason, the last accepted iterate is returned, flagged converged only
+    for "converged". Every iterate, the returned one included, has
+    || v || = 1.
     """
     t0 = time.perf_counter()
-    opts = P.options
+    budget = P.options.max_newton_iters
     grad_tol = P.grad_tol
     state = SolverState.at(P, start_u, start_v)
     trace = [IterationRecord(0, state.residual_norm, math.nan, 0, 0)]
-    if not np.isfinite(state.residual_norm):
-        return _finalize(P, state, False, "non-finite residual at start", trace, start_index, t0)
-    for it in range(1, opts.max_newton_iters + 1):
+    message = "" if np.isfinite(state.residual_norm) else "non-finite residual at start"
+    it = 0
+    while not message:
         if state.residual_norm <= grad_tol:
-            return _finalize(P, state, True, "converged", trace, start_index, t0)
-        du, dv, inner = newton_step(P, state)
-        alpha = 1.0
-        for bt in range(MAX_BACKTRACKS + 1):
-            trial = SolverState.at(P, state.u + alpha * du, state.v + alpha * dv)
-            if trial.residual_norm < state.residual_norm:  # False for NaN
-                break
-            alpha *= 0.5
+            message = "converged"
+        elif it == budget:
+            message = f"iteration budget {budget} exhausted"
         else:
-            return _finalize(
-                P, state, False,
-                f"no descent within {MAX_BACKTRACKS} backtracks at iteration {it}",
-                trace, start_index, t0,
-            )
-        state = trial
-        trace.append(IterationRecord(it, state.residual_norm, alpha, bt,
-                                     inner.iterations if inner else 0,
-                                     inner.converged if inner else True,
-                                     inner.residual if inner else math.nan))
-    if state.residual_norm <= grad_tol:
-        return _finalize(P, state, True, "converged", trace, start_index, t0)
-    return _finalize(
-        P, state, False,
-        f"iteration budget {opts.max_newton_iters} exhausted",
-        trace, start_index, t0,
-    )
+            it += 1
+            du, dv, inner = newton_step(P, state)
+            alpha = 1.0
+            for bt in range(MAX_BACKTRACKS + 1):
+                trial = SolverState.at(P, state.u + alpha * du, state.v + alpha * dv)
+                if trial.residual_norm < state.residual_norm:  # False for NaN
+                    state = trial
+                    trace.append(IterationRecord(it, state.residual_norm, alpha, bt,
+                                                 inner.iterations if inner else 0,
+                                                 inner.converged if inner else True,
+                                                 inner.residual if inner else math.nan))
+                    break
+                alpha *= 0.5
+            else:
+                message = f"no descent within {MAX_BACKTRACKS} backtracks at iteration {it}"
+    return _finalize(P, state, message == "converged", message, trace, start_index, t0)
 
 
 @dataclasses.dataclass
@@ -549,16 +549,19 @@ def _over_dense_cap(P: ProblemInstance):
 def solve(P: ProblemInstance) -> SolveResult:
     """Full solve: starting values, (multi-start) Newton, best-of selection.
 
-    Returns the converged result of smallest ||Delta||_F, carrying per-start
-    summaries and the singular-value certificate of A + Delta. An input
-    with sigma_min(A) <= ``SINGULAR_INPUT_RTOL`` ||A||_F short-circuits to
+    Returns the converged result of smallest ||Delta||_F or, when no start
+    converged, the run of smallest ||G|| with ``converged=False`` and its
+    stop message; either carries the per-start summaries and the
+    singular-value certificate of A + Delta. An input with
+    sigma_min(A) <= ``SINGULAR_INPUT_RTOL`` ||A||_F short-circuits to
     distance zero. An A without LU (see ``ProblemInstance.factor``) is
     refused with ``DimensionMismatchError`` above
     ``linalg.DENSE_FALLBACK_MAX_N`` unknowns (m + n), the dense route's
     memory cap: a rectangular one before its triplets, so also when it is
     rank-deficient; a square one, whose LU found it exactly singular, only
-    if its triplets do not. If no start converges, ``AllStartsFailed`` is
-    raised with the summaries and the best non-converged result attached.
+    if its triplets do not. ``AllStartsFailed`` is raised, with the
+    summaries, only when every start was skipped and no Newton run took
+    place.
     """
     t0 = time.perf_counter()
     if P.m != P.n and P.m + P.n > linalg.DENSE_FALLBACK_MAX_N:
@@ -583,14 +586,8 @@ def solve(P: ProblemInstance) -> SolveResult:
                 starts=summaries,
             )
         converged = [r for r in results.values() if r.converged]
-        if not converged:
-            best = min(results.values(), key=lambda r: r.grad_norm)
-            best.starts = summaries
-            best.wall_time = time.perf_counter() - t0
-            raise AllStartsFailed(
-                "no Newton start converged", starts=summaries, best=best,
-            )
-        best = min(converged, key=lambda r: r.distance)
+        best = (min(converged, key=lambda r: r.distance) if converged
+                else min(results.values(), key=lambda r: r.grad_norm))
         best.starts = summaries
     best.sigma_min, best.sigma_max, best.sigma_error = _certificate_sigmas(P, best)
     best.wall_time = time.perf_counter() - t0

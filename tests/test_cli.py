@@ -153,6 +153,51 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     assert rep["converged"] is False
 
 
+def test_unconverged_solve_report_is_complete_and_deterministic(tmp_path, capsys):
+    # a solve that stops short of a root exits 2 with its stop message and
+    # sigma(A + Delta) in a report that repeats byte for byte, wall time aside
+    rng = np.random.default_rng(70)
+    mask = rng.random((8, 8)) < 0.5
+    mat, pattern_file = tmp_path / "r.mtx", tmp_path / "pat.mtx"
+    write_matrix(mat, rng.standard_normal((8, 8)))
+    scipy.io.mmwrite(pattern_file, sp.coo_array(mask.astype(float)))
+    texts = []
+    for name in ("r1.json", "r2.json"):
+        out = tmp_path / name
+        assert run(["solve", mat, "--pattern", pattern_file, "--max-iters", 1, "--out", out]) == 2
+        rep = load_report(out)
+        assert rep["converged"] is False and rep["message"] == "iteration budget 1 exhausted"
+        assert isinstance(rep["sigma_min"], float) and isinstance(rep["sigma_max"], float)
+        assert rep["sigma_error"] == ""
+        texts.append([line for line in out.read_text().splitlines() if "wall_time_s" not in line])
+    assert texts[0] == texts[1]
+    assert "did not converge: iteration budget 1 exhausted" in capsys.readouterr().out
+
+
+def test_solve_accepts_a_tall_matrix_and_refuses_a_wide_one(tmp_path, capsys):
+    # a tall A is solved as the library solves it, for the nearest
+    # rank-deficient matrix; a wide one exits 1 naming its transpose. The
+    # sparse certificate's verdict is not asserted: a pattern's dead rows
+    # fail it (ROADMAP item 1)
+    rng = np.random.default_rng(74)
+    dense, sparse = tmp_path / "dense.mtx", tmp_path / "sparse.mtx"
+    write_matrix(dense, rng.standard_normal((9, 6)))
+    write_matrix(sparse, sp.random(9, 6, density=0.3, random_state=rng) + sp.eye(9, 6))
+    for mat, flags in ((dense, ["--full"]), (sparse, [])):
+        out = tmp_path / f"{mat.stem}-report.json"
+        assert run(["solve", mat, *flags, "--out", out]) == 0
+        rep = load_report(out)
+        assert (rep["input"]["rows"], rep["input"]["cols"]) == (9, 6)
+        assert rep["converged"] is True and rep["sigma_min"] <= 1e-12 * rep["sigma_max"]
+    assert load_report(tmp_path / "dense-report.json")["certification"]["passed"] is True
+    wide = tmp_path / "wide.mtx"
+    write_matrix(wide, rng.standard_normal((6, 9)))
+    capsys.readouterr()
+    assert run(["solve", wide]) == 1
+    assert capsys.readouterr().err == (
+        "error: a wide 6 x 9 matrix is not supported: solve its 9 x 6 transpose\n")
+
+
 def test_solve_with_every_start_skipped_exits_1(tmp_path, capsys):
     # no start can run (see test_all_starts_skipped_raises_without_best):
     # the structure cannot perturb A toward singularity, so the input is bad

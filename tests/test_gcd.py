@@ -136,6 +136,18 @@ def test_gcd_distance_reports_unconverged_best_effort():
     assert res.warning == "solver did not converge"
 
 
+def test_unconverged_gcd_distance_carries_its_stop_and_sigmas():
+    # solve returns the unconverged best start, so its reason and the
+    # certificate sigmas of the perturbed Sylvester matrix reach the report
+    res = gcd_distance(make_test_polynomials(), 7, SolverOptions(max_newton_iters=1, multistart=2))
+    assert not res.converged
+    assert res.result.message == "iteration budget 1 exhausted"
+    assert len(res.result.starts) == 2 and not any(s.converged for s in res.result.starts)
+    assert res.result.sigma_error == ""
+    assert 0.0 <= res.result.sigma_min <= res.result.sigma_max
+    assert res.distance == res.result.distance
+
+
 def test_gcd_distance_identical_pair_unreliable():
     pair = make_test_polynomials()
     same = PolynomialPair.from_coefficients(pair.p_coeffs, pair.p_coeffs)

@@ -24,9 +24,9 @@ import scipy.sparse as sp
 from . import __version__, linalg, mmio
 from .errors import InputError, SingdistError
 from .gcd import extract_cofactors, build_sylvester, gcd_distance, make_test_polynomials
-from .oracle import certify_solution
+from .oracle import DEFAULT_TOL_CERT, certify_solution
 from .solver import ProblemInstance, SolverOptions, solve
-from .structure import FullStructure, SparsityPattern
+from .structure import FullStructure
 
 __all__ = ["main", "cmd_solve", "cmd_gcd", "cmd_certify", "render_report"]
 
@@ -69,11 +69,11 @@ def render_report(report: dict) -> str:
     return _TOKEN_RE.sub(lambda m: "%.17g" % registry[int(m.group(1))], text) + "\n"
 
 
-def _emit(report, out_path, stream=sys.stdout):
+def _emit(report, out_path):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(render_report(report))
-        print(f"report written to {out_path}", file=stream)
+        print(f"report written to {out_path}")
 
 
 def _nnz(A):
@@ -81,13 +81,14 @@ def _nnz(A):
 
 
 def _load_structure(args, A):
+    """The structure the flags name and its description; None is the pattern of A."""
     if getattr(args, "full", False):
         return FullStructure(A.shape), "full"
     if getattr(args, "pattern", None):
         return mmio.read_pattern(args.pattern), f"pattern:{args.pattern}"
     if getattr(args, "basis", None):
         return mmio.read_basis(args.basis), f"basis:{args.basis}"
-    return SparsityPattern.from_matrix(A), "pattern(A)"
+    return None, "pattern(A)"
 
 
 def _solver_options(args) -> SolverOptions:
@@ -98,10 +99,10 @@ def _solver_options(args) -> SolverOptions:
     )
 
 
-def _result_report(command, input_desc, options, result):
+def _result_report(input_desc, options, result):
     return {
         "schema": SCHEMA_VERSION,
-        "command": command,
+        "command": "solve",
         "input": input_desc,
         "options": options,
         "converged": result.converged,
@@ -133,14 +134,14 @@ def cmd_solve(args) -> int:
         "cols": P.n,
         "nnz": _nnz(P.A),
         "structure": structure_desc,
-        "structure_dim": structure.dim,
+        "structure_dim": P.structure.dim,
     }
     options = dataclasses.asdict(P.options)
     options["grad_tol_resolved"] = P.grad_tol
     result = solve(P)
-    report = _result_report("solve", input_desc, options, result)
+    report = _result_report(input_desc, options, result)
     print(f"matrix {args.matrix}: {P.m} x {P.n}, nnz {input_desc['nnz']}, "
-          f"structure {structure_desc} (dim {structure.dim})")
+          f"structure {structure_desc} (dim {P.structure.dim})")
     if result.converged:
         cert = certify_solution(P, result)
         report["certification"] = cert
@@ -240,7 +241,7 @@ def cmd_certify(args) -> int:
             raise InputError(f"{name} contains non-finite entries")
     structure, structure_desc = _load_structure(args, A)
     P = ProblemInstance(A, structure)
-    proj_residual = linalg.frobenius_norm(structure.project(delta) - delta)
+    proj_residual = linalg.frobenius_norm(P.structure.project(delta) - delta)
     distance = linalg.frobenius_norm(delta)
     in_structure = proj_residual <= STRUCTURE_RESIDUAL_TOL * max(1.0, distance)
     shim = types.SimpleNamespace(v=v, distance=distance)
@@ -290,11 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="nearest structured singular matrix")
     ps.add_argument("matrix", help="square or tall matrix in Matrix Market format")
     _add_structure_flags(ps)
-    ps.add_argument("--multistart", type=int, default=1, metavar="K",
+    ps.add_argument("--multistart", type=int, default=SolverOptions.multistart, metavar="K",
                     help="number of singular-triplet starts")
     ps.add_argument("--grad-tol", type=float, default=None,
                     help="residual tolerance (default 1e-12 ||A||_F)")
-    ps.add_argument("--max-iters", type=int, default=100, help="Newton iteration budget")
+    ps.add_argument("--max-iters", type=int, default=SolverOptions.max_newton_iters,
+                    help="Newton iteration budget")
     ps.add_argument("--out", metavar="FILE", help="write the JSON report here")
     ps.add_argument("--write-delta", metavar="FILE", help="write Delta in Matrix Market format")
     ps.set_defaults(func=cmd_solve)
@@ -307,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     deg = pg.add_mutually_exclusive_group(required=True)
     deg.add_argument("--d", type=int, help="GCD degree")
     deg.add_argument("--sweep", metavar="D1:D2", help="run a range of degrees")
-    pg.add_argument("--multistart", type=int, default=1, metavar="K")
-    pg.add_argument("--max-iters", type=int, default=100, help="Newton iteration budget")
+    pg.add_argument("--multistart", type=int, default=SolverOptions.multistart, metavar="K")
+    pg.add_argument("--max-iters", type=int, default=SolverOptions.max_newton_iters,
+                    help="Newton iteration budget")
     pg.add_argument("--cofactors", action="store_true",
                     help="also extract g, u, w with p ~ g u and q ~ g w")
     pg.add_argument("--out", metavar="FILE", help="write the JSON report here")
@@ -321,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_structure_flags(pc)
     pc.add_argument("--eps", type=float, default=None,
                     help="oracle regularization (default 1e-14 ||A||_F^2)")
-    pc.add_argument("--tol", type=float, default=1e-6, help="certification tolerance")
+    pc.add_argument("--tol", type=float, default=DEFAULT_TOL_CERT, help="certification tolerance")
     pc.add_argument("--out", metavar="FILE", help="write the JSON report here")
     pc.set_defaults(func=cmd_certify)
     return parser

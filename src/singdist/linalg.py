@@ -10,11 +10,11 @@ backends stay swappable:
   triplet solver and the Newton preconditioner share it, so A is factored
   once per problem.
 * ``smallest_singular_triplets``: the K smallest singular triplets of a dense
-  or sparse matrix, checked against ||A||_F. Handed an ``LUFactor`` of A,
-  it runs Lanczos on A^-1 A^-T, two triangular solves per step, whose
-  largest eigenvalues are 1 / sigma^2 of the smallest singular values, so
-  it is robust for singular values near zero; without one it takes a full
-  SVD. The caller decides which by passing the LU or not.
+  or sparse matrix, checked against ||A||_F. Handed an ``LUFactor`` of A
+  and K <= n - 2, it runs Lanczos on A^-1 A^-T, two triangular solves per
+  step, whose largest eigenvalues are 1 / sigma^2 of the smallest singular
+  values, so it is robust for singular values near zero; otherwise it takes
+  a full SVD.
 * ``solve_dense``: LU solve with a condition estimate, falling back to a
   minimum-norm least-squares solution when the matrix is numerically
   singular.
@@ -238,13 +238,9 @@ def _lanczos_triplets(A, k, factor):
     twice (Golub & Kahan 1965). Each u is A^-T v normalized, not A v / sigma:
     A magnifies the error of a Ritz vector along the large singular directions
     by sigma_max / sigma, A^-T damps it, and sigma = u^T A v = 1 / ||A^-T v||
-    comes out positive.
+    comes out positive. The caller guarantees k <= n - 2.
     """
     n = A.shape[1]
-    if k >= n - 1:
-        # eigsh raises TypeError for k >= n, and at k = n - 1 its basis is
-        # the whole space: the dense SVD is the better answer to both
-        raise TripletError(f"Lanczos on an operator of order {n} takes k <= n - 2, got {k}")
     gram_inverse = spla.LinearOperator(
         (n, n), dtype=float,
         matvec=lambda x: factor.solve(factor.solve(np.ravel(x), trans=True)),
@@ -282,25 +278,25 @@ def smallest_singular_triplets(A, k=1, *, factor=None):
     A list of (sigma, u, v) with unit-norm vectors satisfying
     ``A v = sigma u`` and ``A^T u = sigma v`` to a residual of
     ``TRIPLET_RESIDUAL_TOL`` relative to ||A||_F, which bounds sigma_max(A)
-    from above and costs no Lanczos run. With ``factor``, an ``LUFactor``
-    of a square A (dense or sparse), they come from Lanczos on A^-1 A^-T
-    from a fixed start vector (seed 0); if Lanczos fails or is asked for
-    k >= n - 1 pairs, and without ``factor``, a full SVD takes over. The
-    SVD of a sparse A with more than ``DENSE_FALLBACK_MAX_N``^2 entries
-    raises ``TripletError``, as does a triplet residual above the bound,
-    with the achieved residual.
+    from above and costs no Lanczos run. A full SVD answers when ``factor``
+    is None or k >= n - 1, and when Lanczos fails; otherwise, with
+    ``factor`` an ``LUFactor`` of a square A (dense or sparse), Lanczos on
+    A^-1 A^-T from a fixed start vector (seed 0) does. The SVD of a sparse
+    A with more than ``DENSE_FALLBACK_MAX_N``^2 entries raises
+    ``TripletError``, as does a triplet residual above the bound, with the
+    achieved residual.
     """
     A = validate_matrix(A)
     m, n = A.shape
     if k < 1 or k > min(m, n):
         raise DimensionMismatchError(f"k={k} out of range for shape {A.shape}")
-    if factor is None:
+    # eigsh takes k < n, and at k = n - 1 its basis is the whole space
+    if factor is None or k >= n - 1:
         trips = _dense_triplets(A, k)
     else:
         try:
             trips = _lanczos_triplets(A, k, factor)
-        except (TripletError, RuntimeError, np.linalg.LinAlgError):
-            # k >= n - 1, Lanczos breakdown or no convergence
+        except (RuntimeError, np.linalg.LinAlgError):  # breakdown or no convergence
             trips = _dense_triplets(A, k)
     scale = max(frobenius_norm(A), 1e-300)
     worst = 0.0

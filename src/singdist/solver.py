@@ -101,10 +101,14 @@ class SolverOptions:
     multistart: int = 1
 
     def __post_init__(self):
-        if self.grad_tol is not None and not 0 < self.grad_tol < math.inf:
+        # True is an Integral and 0 < True < inf, yet a flag is no budget or tolerance
+        flag = (bool, np.bool_)
+        if self.grad_tol is not None and (isinstance(self.grad_tol, flag)
+                                          or not 0 < self.grad_tol < math.inf):
             raise ValueError("grad_tol must be positive and finite")
         for name in ("max_newton_iters", "multistart"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            value = getattr(self, name)
+            if isinstance(value, flag) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
         if self.max_newton_iters < 1:
             raise ValueError("iteration budgets must be positive")
@@ -464,7 +468,7 @@ class StartingPoint:
     reason: str = ""
 
 
-def starting_values(P: ProblemInstance, K: int | None = None, triplets=None):
+def starting_values(P: ProblemInstance, K: int, triplets=None):
     """Initial pairs from the K smallest singular triplets of A.
 
     For each triplet, sigma_hat = sigma / ||project_rank1(u_k, v_k)||_F^2
@@ -472,19 +476,14 @@ def starting_values(P: ProblemInstance, K: int | None = None, triplets=None):
     u_k v_k^T; the norm is read off its coordinates M(v_k)^T u_k. Triplets
     whose projected rank-1 direction nearly vanishes cannot seed a
     perturbation and are skipped with a warning. ``triplets`` are the K
-    smallest triplets when the caller has them already.
+    smallest triplets when the caller has them already; only without them
+    is K read, as given: the caller clamps it to min(m, n).
     """
-    if K is None:
-        K = P.options.multistart
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    K = min(K, min(P.m, P.n))
     if triplets is None:
         triplets = linalg.smallest_singular_triplets(P.A, K, factor=P.factor)
     out = []
     for k, (sigma, uk, vk) in enumerate(triplets, start=1):
-        # summed in numpy: np.linalg.norm's threaded BLAS dot stalls after the SVD
-        pn = math.sqrt(np.square(P.structure.apply_mt(vk, uk)).sum())
+        pn = linalg.frobenius_norm(P.structure.apply_mt(vk, uk))
         if pn < START_PROJECTION_TOL:
             warnings.warn(
                 f"start {k}: structure nearly orthogonal to the rank-1 direction; skipped",

@@ -276,14 +276,13 @@ class FullStructure(SparsityPattern):
     ``M(v) vec(X) = X v`` and ``N(u) vec(X) = X^T u``, and the pattern
     operators apply unchanged. The pattern arrays take O(m n) memory and
     set-up time. ``project_rank1`` returns the dense outer product u v^T.
+    It takes a shape, ``FullStructure(A.shape)``, or its two dimensions,
+    ``FullStructure(m, n)``.
     """
 
     def __init__(self, n_rows, n_cols=None):
         if n_cols is None:
-            if isinstance(n_rows, tuple):  # FullStructure(A.shape)
-                n_rows, n_cols = n_rows
-            else:
-                n_cols = n_rows
+            n_rows, n_cols = n_rows
         if n_rows <= 0 or n_cols <= 0:
             raise StructureError("dimensions must be positive")
         super().__init__(n_rows, n_cols, np.indices((n_rows, n_cols)).reshape(2, -1).T)

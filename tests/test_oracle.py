@@ -240,3 +240,9 @@ def test_certify_v_zero_rejected():
     shim = types.SimpleNamespace(v=np.zeros(2), distance=0.0)
     with pytest.raises(StructureError):
         certify_solution(P, shim)
+
+
+def test_evaluate_refuses_a_v_of_the_wrong_length():
+    P = ProblemInstance(np.diag([3.0, 1.0]), FullStructure((2, 2)))
+    with pytest.raises(StructureError, match="v must have length 2"):
+        evaluate(P, np.ones(3) / np.sqrt(3.0), 1e-14)

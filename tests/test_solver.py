@@ -994,3 +994,40 @@ def test_problem_instance_resolves_options_and_checks_structure_shape():
     assert P.grad_tol == 1e-9
     with pytest.raises(DimensionMismatchError, match="structure shape"):
         ProblemInstance(A, FullStructure(2, 3))
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_solver_options_reject_a_bool(flag):
+    # bool is an Integral and 0 < True < inf: a flag would become an
+    # iteration budget or start count of 1, or an absolute tolerance of 1.0
+    with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
+        SolverOptions(grad_tol=flag)
+    for name in ("max_newton_iters", "multistart"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SolverOptions(**{name: flag})
+
+
+def test_problem_instance_refuses_an_empty_matrix():
+    with pytest.raises(DimensionMismatchError, match="matrix must be nonempty"):
+        ProblemInstance(np.zeros((0, 3)))
+
+
+def test_starting_values_take_the_start_count_as_given():
+    # solve clamps K to min(m, n); a direct caller's K is not clamped again
+    P = full_instance(np.diag([3.0, 1.0]))
+    assert [s.sigma for s in starting_values(P, 2)] == [1.0, 3.0]
+    for K in (0, 3):
+        with pytest.raises(DimensionMismatchError, match=f"k={K} out of range"):
+            starting_values(P, K)
+
+
+def test_square_input_without_lu_is_refused_above_the_dense_cap_unless_singular(monkeypatch):
+    # a square A without LU is refused after its triplets, so a singular one
+    # still gets distance 0 above the cap
+    monkeypatch.setattr(linalg, "DENSE_FALLBACK_MAX_N", 10)
+    A = np.random.default_rng(0).standard_normal((6, 6))
+    with pytest.raises(DimensionMismatchError, match=r"6 x 6 .* capped at m \+ n = 10"):
+        solve(ProblemInstance(A))
+    res = solve(ProblemInstance(np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 0.0])))
+    assert res.converged and res.distance == 0.0
+    assert res.message == "input numerically singular; distance 0"

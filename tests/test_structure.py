@@ -487,3 +487,17 @@ def test_basis_sums_duplicate_coordinates():
     S = BasisStructure([B0, B1])
     assert np.array_equal(as_dense(S.from_coefficients([3.0, 2.0])), [[0.0, 3.0], [2.0, 0.0]])
     assert np.array_equal(S.m_matrix(np.array([1.0, 10.0])), [[10.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: SparsityPattern(0, 3, [(0, 0)]), "dimensions must be positive"),
+    (lambda: FullStructure(0, 3), "dimensions must be positive"),
+    (lambda: BasisStructure([]), "at least one matrix"),
+    (lambda: BasisStructure([np.eye(2) / np.sqrt(2), np.eye(3) / np.sqrt(3)]),
+     "share one shape"),
+    (lambda: BasisStructure([np.ones((1, 1)), np.ones((1, 1))]),
+     "more basis matrices than matrix entries"),
+])
+def test_structure_constructors_refuse_bad_shapes(build, match):
+    with pytest.raises(StructureError, match=match):
+        build()

@@ -82,11 +82,11 @@ def _nnz(A):
 
 def _load_structure(args, A):
     """The structure the flags name and its description; None is the pattern of A."""
-    if getattr(args, "full", False):
+    if args.full:
         return FullStructure(A.shape), "full"
-    if getattr(args, "pattern", None):
+    if args.pattern:
         return mmio.read_pattern(args.pattern), f"pattern:{args.pattern}"
-    if getattr(args, "basis", None):
+    if args.basis:
         return mmio.read_basis(args.basis), f"basis:{args.basis}"
     return None, "pattern(A)"
 
@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, SingdistError, OSError, ValueError) as exc:
+    except (SingdistError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,12 @@
-"""File I/O: Matrix Market matrices, pattern/basis structures, polynomials.
+"""File I/O: the command line's five inputs and its one output.
 
-Matrix Market is the only matrix exchange format. Dense files come back as
-float ndarrays, coordinate files as csr_array, and coordinate *pattern*
-files as a SparsityPattern. Perturbation bases are directories of Matrix
-Market files listed in order by a ``manifest.json``. Polynomial pairs are
+It reads matrices, sparsity patterns, perturbation bases, kernel vectors
+and polynomial pairs, and writes the perturbation of ``singdist solve
+--write-delta``. Matrix Market is the only matrix exchange format. Dense
+files come back as float ndarrays, coordinate files as csr_array, and
+coordinate *pattern* files as a SparsityPattern. Perturbation bases are
+directories of Matrix Market files listed in order by a ``manifest.json``.
+A kernel vector is an n-by-1 Matrix Market array. Polynomial pairs are
 JSON objects ``{"p": [...], "q": [...]}`` with ascending coefficients, or
 plain text with one whitespace-separated coefficient line per polynomial.
 """
@@ -26,11 +29,8 @@ __all__ = [
     "write_matrix",
     "read_pattern",
     "read_basis",
-    "write_basis",
     "read_vector",
-    "write_vector",
     "read_polynomial_pair",
-    "write_polynomial_pair",
 ]
 
 
@@ -51,9 +51,9 @@ def read_matrix(path) -> np.ndarray | sp.csr_array:
     return np.asarray(M, dtype=float)
 
 
-def write_matrix(path, A, comment: str = "") -> None:
+def write_matrix(path, A) -> None:
     """Write a matrix in Matrix Market format (coordinate if sparse)."""
-    scipy.io.mmwrite(path, sp.coo_array(A) if sp.issparse(A) else np.asarray(A), comment=comment)
+    scipy.io.mmwrite(path, sp.coo_array(A) if sp.issparse(A) else np.asarray(A))
 
 
 def read_pattern(path) -> SparsityPattern:
@@ -91,31 +91,12 @@ def read_basis(directory) -> BasisStructure:
     return BasisStructure(mats)
 
 
-def write_basis(directory, structure: BasisStructure) -> None:
-    """Write each basis matrix and a manifest into ``directory``."""
-    os.makedirs(directory, exist_ok=True)
-    names = []
-    for i in range(structure.dim):
-        c = np.zeros(structure.dim)
-        c[i] = 1.0
-        name = f"basis_{i:04d}.mtx"
-        write_matrix(os.path.join(directory, name), sp.coo_array(structure.from_coefficients(c)))
-        names.append(name)
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump({"files": names}, fh, indent=2)
-        fh.write("\n")
-
-
 def read_vector(path) -> np.ndarray:
     """Read a vector stored as an n-by-1 (or 1-by-n) Matrix Market array."""
     M = as_dense(read_matrix(path))
     if 1 not in M.shape:
         raise InputError(f"{path!r} is not a vector (need an n-by-1 array)")
     return M.ravel()
-
-
-def write_vector(path, v, comment: str = "") -> None:
-    write_matrix(path, np.asarray(v, dtype=float).reshape(-1, 1), comment=comment)
 
 
 def read_polynomial_pair(path) -> PolynomialPair:
@@ -147,11 +128,3 @@ def read_polynomial_pair(path) -> PolynomialPair:
         return PolynomialPair.from_coefficients(p, q)
     except (InputError, TypeError, ValueError) as exc:
         raise InputError(f"{path!r}: {exc}") from exc
-
-
-def write_polynomial_pair(path, pair: PolynomialPair) -> None:
-    """Write a polynomial pair as JSON with full-precision coefficients."""
-    obj = {"p": [float(c) for c in pair.p_coeffs], "q": [float(c) for c in pair.q_coeffs]}
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")

@@ -468,19 +468,17 @@ class StartingPoint:
     reason: str = ""
 
 
-def starting_values(P: ProblemInstance, K: int, triplets=None):
-    """Initial pairs from the K smallest singular triplets of A.
+def starting_values(P: ProblemInstance, triplets):
+    """Initial pairs from the smallest singular triplets of A, one per triplet.
 
-    For each triplet, sigma_hat = sigma / ||project_rank1(u_k, v_k)||_F^2
-    scales u_0 = -sigma_hat u_k so that A + Delta_0 is orthogonal to
-    u_k v_k^T; the norm is read off its coordinates M(v_k)^T u_k. Triplets
-    whose projected rank-1 direction nearly vanishes cannot seed a
-    perturbation and are skipped with a warning. ``triplets`` are the K
-    smallest triplets when the caller has them already; only without them
-    is K read, as given: the caller clamps it to min(m, n).
+    ``triplets`` are the ``(sigma_k, u_k, v_k)`` of
+    ``linalg.smallest_singular_triplets``, smallest first. For each,
+    sigma_hat = sigma / ||project_rank1(u_k, v_k)||_F^2 scales
+    u_0 = -sigma_hat u_k so that A + Delta_0 is orthogonal to u_k v_k^T;
+    the norm is read off its coordinates M(v_k)^T u_k. Triplets whose
+    projected rank-1 direction nearly vanishes cannot seed a perturbation
+    and are skipped with a warning.
     """
-    if triplets is None:
-        triplets = linalg.smallest_singular_triplets(P.A, K, factor=P.factor)
     out = []
     for k, (sigma, uk, vk) in enumerate(triplets, start=1):
         pn = linalg.frobenius_norm(P.structure.apply_mt(vk, uk))
@@ -575,7 +573,7 @@ def solve(P: ProblemInstance) -> SolveResult:
     else:
         if P.factor is None and P.m + P.n > linalg.DENSE_FALLBACK_MAX_N:
             raise _over_dense_cap(P)
-        starts = starting_values(P, K, trips)
+        starts = starting_values(P, trips)
         results = {s.index: line_search_newton(P, s.u0, s.v0, s.index)
                    for s in starts if not s.skipped}
         summaries = [_summarize(s, results.get(s.index)) for s in starts]

@@ -259,10 +259,6 @@ class SparsityPattern(LinearStructure):
     def __repr__(self):
         return f"SparsityPattern({self.shape[0]}x{self.shape[1]}, {self.dim} entries)"
 
-    def entries(self):
-        """The pattern as an array of (row, col) pairs in canonical order."""
-        return np.column_stack([self.rows, self.cols])
-
     def to_basis(self):
         """Equivalent ``BasisStructure`` of elementary matrices (small p only)."""
         return BasisStructure([sp.csr_array(([1.0], ([int(i)], [int(j)])), shape=self.shape)

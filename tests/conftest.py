@@ -8,7 +8,8 @@ import collections
 
 import numpy as np
 
-from singdist import BasisStructure, FullStructure, SparsityPattern
+from singdist import BasisStructure, FullStructure, SparsityPattern, linalg
+from singdist.solver import starting_values
 from singdist.structure import LinearStructure
 
 
@@ -45,6 +46,11 @@ def random_orthonormal_basis(rng, m, n, dim):
     V = rng.standard_normal((m * n, dim))
     Q, _ = np.linalg.qr(V)
     return BasisStructure([Q[:, i].reshape(m, n) for i in range(dim)])
+
+
+def first_starts(P, K):
+    """The starts ``solve`` seeds from the K smallest singular triplets of A."""
+    return starting_values(P, linalg.smallest_singular_triplets(P.A, K, factor=P.factor))
 
 
 def count_structure_calls(monkeypatch, names):

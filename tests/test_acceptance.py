@@ -29,9 +29,9 @@ from singdist.solver import (
     bordered_jacobian,
     line_search_newton,
     residual_G,
-    starting_values,
 )
 from singdist.structure import as_dense
+from conftest import first_starts
 
 
 def _report(num, label, failures, t0, budget=None):
@@ -274,7 +274,7 @@ def test_criterion_8_multistart_finds_distinct_local_solutions():
     S = SparsityPattern.from_matrix(A)
     P = ProblemInstance(A, S)
 
-    starts = starting_values(P, 5)
+    starts = first_starts(P, 5)
     dists = []
     for sp in starts:
         if sp.skipped:

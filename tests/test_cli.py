@@ -7,14 +7,18 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from singdist import BasisStructure
 from singdist.gcd import make_test_polynomials
-from singdist.mmio import write_basis, write_matrix, write_polynomial_pair, write_vector
+from singdist.mmio import write_matrix
 from singdist.cli import main, render_report
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def write_column(path, v):
+    """A kernel vector as certify reads it: an n-by-1 Matrix Market array."""
+    write_matrix(path, np.reshape(v, (-1, 1)))
 
 
 def write_diag(tmp_path, diag=(3.0, 1.0)):
@@ -58,7 +62,11 @@ def test_solve_basis_structure_from_directory(tmp_path):
     # the diagonal basis of diag(3, 1) gives the same distance as its pattern
     mat = write_diag(tmp_path)
     basis_dir = tmp_path / "basis"
-    write_basis(basis_dir, BasisStructure([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
+    basis_dir.mkdir()
+    for k in (1, 2):
+        (basis_dir / f"e{k}{k}.mtx").write_text(
+            f"%%MatrixMarket matrix coordinate real general\n2 2 1\n{k} {k} 1\n")
+    (basis_dir / "manifest.json").write_text('{"files": ["e11.mtx", "e22.mtx"]}')
     out = tmp_path / "report.json"
     assert run(["solve", mat, "--basis", basis_dir, "--out", out]) == 0
     rep = load_report(out)
@@ -272,12 +280,9 @@ def test_gcd_sweep_table(tmp_path, capsys):
 
 
 def test_gcd_identical_pair_from_file(tmp_path):
-    pair = make_test_polynomials()
-    from singdist import PolynomialPair
-
-    same = PolynomialPair.from_coefficients(pair.p_coeffs, pair.p_coeffs)
+    p = make_test_polynomials().p_coeffs.tolist()
     poly = tmp_path / "same.json"
-    write_polynomial_pair(poly, same)
+    poly.write_text(json.dumps({"p": p, "q": p}))
     out = tmp_path / "gcd.json"
     assert run(["gcd", "--poly", poly, "--d", 10, "--out", out]) == 0
     rep = load_report(out)
@@ -323,14 +328,14 @@ def test_certify_pipeline_and_negative_controls(tmp_path):
     from singdist import FullStructure, ProblemInstance, solve
 
     res = solve(ProblemInstance(A, FullStructure(A.shape)))
-    write_vector(v_path, res.v)
+    write_column(v_path, res.v)
     assert run(["certify", mat, delta_path, v_path, "--full"]) == 0
 
     # corrupt v: certification fails with exit 2
     bad_v = res.v + 1e-2 * rng.standard_normal(6)
     bad_v /= np.linalg.norm(bad_v)
     bad_v_path = tmp_path / "bad_v.mtx"
-    write_vector(bad_v_path, bad_v)
+    write_column(bad_v_path, bad_v)
     assert run(["certify", mat, delta_path, bad_v_path, "--full"]) == 2
 
     # off-structure delta: projection residual check fails
@@ -351,19 +356,19 @@ def test_certify_input_errors(tmp_path, capsys):
     delta = tmp_path / "delta.mtx"
     v = tmp_path / "v.mtx"
     write_matrix(delta, np.zeros((3, 3)))
-    write_vector(v, np.array([0.0, 1.0]))
+    write_column(v, np.array([0.0, 1.0]))
     assert run(["certify", mat, delta, v, "--full"]) == 1
     assert capsys.readouterr().err == (
         "error: delta shape (3, 3) does not match matrix shape (2, 2)\n")
     write_matrix(delta, np.diag([0.0, -1.0]))
-    write_vector(v, np.array([0.0, 1.0, 0.0]))
+    write_column(v, np.array([0.0, 1.0, 0.0]))
     assert run(["certify", mat, delta, v, "--full"]) == 1
     assert capsys.readouterr().err == "error: v has length 3, expected 2\n"
     # a wrong kernel vector: A = diag(1, 1e-4), v = e1 and distance 1e-4
     # FAILs at the default eps, and an infinite eps or tolerance is refused
     write_matrix(mat, np.diag([1.0, 1e-4]))
     write_matrix(delta, np.diag([0.0, -1e-4]))
-    write_vector(v, np.array([1.0, 0.0]))
+    write_column(v, np.array([1.0, 0.0]))
     assert run(["certify", mat, delta, v, "--full"]) == 2
     capsys.readouterr()
     for flag, name in (("--eps", "eps"), ("--tol", "tol_cert")):
@@ -371,10 +376,10 @@ def test_certify_input_errors(tmp_path, capsys):
             assert run(["certify", mat, delta, v, "--full", flag, value]) == 1
             assert capsys.readouterr().err == f"error: {name} must be positive and finite\n"
     # a non-finite perturbation or kernel vector is bad input, not a FAIL
-    write_vector(v, np.array([np.nan, 1.0]))
+    write_column(v, np.array([np.nan, 1.0]))
     assert run(["certify", mat, delta, v, "--full"]) == 1
     assert capsys.readouterr().err == "error: v contains non-finite entries\n"
-    write_vector(v, np.array([1.0, 0.0]))
+    write_column(v, np.array([1.0, 0.0]))
     write_matrix(delta, np.diag([np.nan, -1e-4]))
     assert run(["certify", mat, delta, v, "--full"]) == 1
     assert capsys.readouterr().err == "error: delta contains non-finite entries\n"
@@ -401,7 +406,7 @@ def test_certify_keeps_a_sparse_delta_sparse(tmp_path, monkeypatch):
     mat, delta, v = tmp_path / "a.mtx", tmp_path / "delta.mtx", tmp_path / "v.mtx"
     write_matrix(mat, A)
     write_matrix(delta, res.delta)
-    write_vector(v, res.v)
+    write_column(v, res.v)
 
     def densify(self, *args, **kwargs):
         raise AssertionError("a sparse matrix was densified")

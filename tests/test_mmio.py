@@ -1,6 +1,9 @@
-"""File I/O: Matrix Market round trips, patterns, bases, polynomial files."""
+"""File I/O: Matrix Market round trips, patterns, bases, polynomial files.
 
-import json
+The readers of vectors, bases and polynomial pairs read hand-written files
+in each documented format; the package writes only matrices.
+"""
+
 import os
 
 import numpy as np
@@ -8,21 +11,16 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from singdist import InputError, SparsityPattern, StructureError
-from singdist.gcd import make_test_polynomials
+from singdist import InputError, PolynomialPair, SparsityPattern, StructureError
 from singdist.mmio import (
     read_basis,
     read_matrix,
     read_pattern,
     read_polynomial_pair,
     read_vector,
-    write_basis,
     write_matrix,
-    write_polynomial_pair,
-    write_vector,
 )
 from singdist.structure import as_dense
-from conftest import random_orthonormal_basis
 
 
 def test_dense_matrix_roundtrip(tmp_path):
@@ -51,7 +49,7 @@ def test_read_pattern_from_coordinate_file(tmp_path):
     scipy.io.mmwrite(path, coo)
     S = read_pattern(path)
     assert isinstance(S, SparsityPattern)
-    assert np.array_equal(S.entries(), [[0, 1], [1, 0], [2, 2]])
+    assert S.rows.tolist() == [0, 1, 2] and S.cols.tolist() == [1, 0, 2]
 
 
 def test_read_pattern_format_file(tmp_path):
@@ -64,7 +62,7 @@ def test_read_pattern_format_file(tmp_path):
         "2 2\n"
     )
     S = read_pattern(path)
-    assert np.array_equal(S.entries(), [[0, 0], [1, 1]])
+    assert S.rows.tolist() == [0, 1] and S.cols.tolist() == [0, 1]
 
 
 def test_read_pattern_rejects_empty_file(tmp_path):
@@ -81,11 +79,12 @@ def test_read_pattern_rejects_dense(tmp_path):
         read_pattern(path)
 
 
-def test_vector_roundtrip(tmp_path):
-    v = np.array([1.0, -2.0, 0.5])
+def test_read_vector_from_a_hand_written_array(tmp_path):
+    # an n-by-1 array, or its 1-by-n transpose (array entries are column-major)
     path = tmp_path / "v.mtx"
-    write_vector(path, v)
-    assert np.allclose(read_vector(path), v, atol=1e-15)
+    for shape in ("3 1", "1 3"):
+        path.write_text(f"%%MatrixMarket matrix array real general\n{shape}\n1\n-2\n0.5\n")
+        assert read_vector(path).tolist() == [1.0, -2.0, 0.5]
 
 
 def test_read_vector_rejects_matrix(tmp_path):
@@ -113,16 +112,22 @@ def test_complex_input_is_refused(tmp_path, kind):
         read(path)
 
 
-def test_basis_roundtrip(tmp_path):
-    rng = np.random.default_rng(61)
-    S = random_orthonormal_basis(rng, 3, 4, 5)
-    d = tmp_path / "basis"
-    write_basis(d, S)
-    S2 = read_basis(d)
-    assert S2.dim == S.dim
-    c = rng.standard_normal(5)
-    assert np.allclose(as_dense(S.from_coefficients(c)),
-                       as_dense(S2.from_coefficients(c)), atol=1e-13)
+def test_read_basis_from_a_hand_written_directory(tmp_path):
+    # members in either Matrix Market format; the manifest, a list or
+    # {"files": [...]}, fixes the coefficient order
+    (tmp_path / "b0.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n2 3 2\n1 1 0.6\n2 3 0.8\n")
+    (tmp_path / "b1.mtx").write_text(
+        "%%MatrixMarket matrix array real general\n2 3\n0\n0\n1\n0\n0\n0\n")
+    B0 = np.array([[0.6, 0.0, 0.0], [0.0, 0.0, 0.8]])
+    B1 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    for manifest, order in (('["b0.mtx", "b1.mtx"]', (B0, B1)),
+                            ('{"files": ["b1.mtx", "b0.mtx"]}', (B1, B0))):
+        (tmp_path / "manifest.json").write_text(manifest)
+        S = read_basis(tmp_path)
+        assert S.dim == 2 and S.shape == (2, 3)
+        for c, B in zip(np.eye(2), order):
+            assert np.allclose(as_dense(S.from_coefficients(c)), B, rtol=0, atol=1e-15)
 
 
 def test_read_basis_bad_manifest(tmp_path):
@@ -138,13 +143,17 @@ def test_read_basis_bad_manifest(tmp_path):
         read_basis(tmp_path / "missing")
 
 
-def test_polynomial_json_roundtrip_bit_exact(tmp_path):
-    pair = make_test_polynomials()
+def test_polynomial_json_reads_bit_exact(tmp_path):
+    # 17 significant digits in the file are the coefficients, to the last bit
+    p = [0.1, -0.30000000000000004, 2.2250738585072014e-308, 7]
+    q = [1.0000000000000002, 3]
     path = tmp_path / "pair.json"
-    write_polynomial_pair(path, pair)
-    back = read_polynomial_pair(path)
-    assert np.array_equal(back.p_coeffs, pair.p_coeffs)
-    assert np.array_equal(back.q_coeffs, pair.q_coeffs)
+    path.write_text('{"p": [0.1, -0.30000000000000004, 2.2250738585072014e-308, 7],\n'
+                    ' "q": [1.0000000000000002, 3]}\n')
+    pair = read_polynomial_pair(path)
+    expected = PolynomialPair.from_coefficients(p, q)
+    assert np.array_equal(pair.p_coeffs, expected.p_coeffs)
+    assert np.array_equal(pair.q_coeffs, expected.q_coeffs)
 
 
 def test_polynomial_text_format(tmp_path):

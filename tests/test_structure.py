@@ -107,7 +107,7 @@ def explicit_basis(S):
     if isinstance(S, BasisStructure):
         return [as_dense(S.from_coefficients(e)) for e in np.eye(S.dim)]
     m, n = S.shape
-    return [np.outer(np.eye(m)[i], np.eye(n)[j]) for i, j in S.entries()]
+    return [np.outer(np.eye(m)[i], np.eye(n)[j]) for i, j in zip(S.rows, S.cols)]
 
 
 def overlapping_basis(rng, m, n, dim, touched):
@@ -297,7 +297,7 @@ def test_diagonal_gram_says_whether_gram_blocks_are_diagonal():
 
 def test_pattern_canonical_order_and_duplicates():
     S = SparsityPattern(2, 3, [(1, 2), (0, 1), (1, 0)])
-    assert np.array_equal(S.entries(), [[0, 1], [1, 0], [1, 2]])  # row-major canonical
+    assert S.rows.tolist() == [0, 1, 1] and S.cols.tolist() == [1, 0, 2]  # row-major canonical
     with pytest.raises(StructureError):
         SparsityPattern(2, 2, [(0, 0), (0, 0)])
     with pytest.raises(StructureError):

@@ -150,9 +150,11 @@ def cmd_solve(args) -> int:
               f"start {result.start_index})")
         print(f"||(A+Delta)v|| = {result.residual_av:.3e}   "
               f"||(A+Delta)^T u|| = {result.residual_atu:.3e}")
-        if result.sigma_min is not None:
+        if result.sigma_max is not None:
             print(f"sigma_min(A+Delta) = {result.sigma_min:.6e}   "
                   f"sigma_max(A+Delta) = {result.sigma_max:.6e}")
+        elif result.sigma_min is not None:
+            print(f"sigma_min(A+Delta) <= {result.sigma_min:.6e} (residual bound)")
         elif result.sigma_error:
             print(result.sigma_error)
         print(str(cert))

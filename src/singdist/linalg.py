@@ -24,6 +24,9 @@ backends stay swappable:
   ``LUFactor.solve``), with a budget of as many Krylov directions as the
   order of the system. It stops on the true relative residual and returns
   it, so callers can treat inexact solutions as search directions.
+* ``spectral_norm``: sigma_max of a dense or sparse matrix by one Lanczos
+  run, on demand. No solve calls it: where a Krylov-route result's
+  ``sigma_max`` is None, ``spectral_norm(P.A + res.delta)`` gives it.
 """
 
 from __future__ import annotations
@@ -91,18 +94,6 @@ RCOND_CUTOFF = 1e-14
 
 #: relative residual bound singular triplets must satisfy
 TRIPLET_RESIDUAL_TOL = 1e-10
-
-#: Lanczos basis size of ``spectral_norm``, run on A + Delta only, a solve's
-#: last heavy call before the next set-up. sigma_max agrees with ARPACK's
-#: default basis of 20 vectors to rounding, and on 2,100-row sparse inputs
-#: the set-up that follows in the same process ran in 20 ms instead of
-#: 31 ms (sparse-krylov benchmark, 2 vCPUs). The default basis is up to 10x
-#: faster per call on dense A whose top singular values cluster (n >= 1,500),
-#: but without this constant the benchmark's set-up time read 0.023-0.033 s
-#: instead of 0.016-0.017 s on sparse-krylov and 15-20% higher on
-#: sparse-direct, past or near its 25% bound; it stays until the benchmark
-#: can resolve set-up time.
-SPECTRAL_NORM_NCV = 4
 
 
 def validate_matrix(A):
@@ -263,12 +254,10 @@ def spectral_norm(A):
     """Largest singular value of a dense or sparse ``A`` by Lanczos (``svds``).
 
     Needs min(m, n) >= 2. The start vector is drawn from seed 0, so the
-    result is repeatable. The Lanczos basis has ``SPECTRAL_NORM_NCV``
-    vectors when min(m, n) exceeds that, and ARPACK's default otherwise.
+    result is repeatable; the Lanczos basis is ARPACK's default.
     """
     v0 = np.random.default_rng(0).standard_normal(min(A.shape))
-    ncv = SPECTRAL_NORM_NCV if min(A.shape) > SPECTRAL_NORM_NCV else None
-    s = spla.svds(A, k=1, which="LM", v0=v0, ncv=ncv, return_singular_vectors=False)
+    s = spla.svds(A, k=1, which="LM", v0=v0, return_singular_vectors=False)
     return float(s[0])
 
 

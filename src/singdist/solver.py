@@ -40,7 +40,7 @@ import warnings
 import numpy as np
 
 from . import linalg
-from .errors import AllStartsFailed, DimensionMismatchError, SingdistError
+from .errors import AllStartsFailed, DimensionMismatchError
 from .structure import LinearStructure, SparsityPattern, as_dense
 
 __all__ = [
@@ -360,7 +360,8 @@ class SolveResult:
     For an A with LU, dense or sparse, ``sigma_min`` is the residual upper
     bound ||(A + Delta) v|| (or its left counterpart, whichever is smaller),
     which certifies singularity without factoring A + Delta, and
-    ``sigma_error`` can only come from the Lanczos run for ``sigma_max``.
+    ``sigma_max`` is None (``linalg.spectral_norm`` gives it on demand).
+    ``sigma_error`` can only come from the dense SVD.
     """
 
     converged: bool
@@ -499,26 +500,24 @@ def _certificate_sigmas(P: ProblemInstance, result: SolveResult):
     """(sigma_min, sigma_max, reason) of B = A + Delta; the sigmas are None when unavailable.
 
     Routed like the rest of the solve. Without an LU of A both sigmas are
-    exact, from a full SVD. With one, A is square and B is not factored:
-    ``sigma_min`` is the residual upper bound the root (u, v) gives,
-    min(||B v|| / ||v||, ||B^T u|| / ||u||) computed explicitly from B (the
-    first alone when u = 0), and ``sigma_max`` comes from one Lanczos run
-    (``linalg.spectral_norm``), the only step there that can fail.
-    ``reason`` is empty on success and otherwise a fixed string naming the
-    exception, so reports stay deterministic.
+    exact, from a full SVD, the only step that can fail. With one, A is
+    square and B is not factored: ``sigma_min`` is the residual upper bound
+    the root (u, v) gives, min(||B v|| / ||v||, ||B^T u|| / ||u||) computed
+    explicitly from B (the first alone when u = 0), and ``sigma_max`` is
+    None. ``reason`` is empty on success and otherwise a fixed string
+    naming the exception, so reports stay deterministic.
     """
-    try:
-        B = P.A + result.delta
-        if P.factor is None:
+    B = P.A + result.delta
+    if P.factor is None:
+        try:
             s = np.linalg.svd(as_dense(B), compute_uv=False)
-            return float(s[-1]), float(s[0]), ""
-        smax = linalg.spectral_norm(B)
-        u, v = result.u, result.v
-        smin = min(np.linalg.norm(B @ v) / np.linalg.norm(v),
-                   np.linalg.norm(B.T @ u) / np.linalg.norm(u) if u.any() else math.inf)
-        return float(smin), smax, ""
-    except (SingdistError, RuntimeError, np.linalg.LinAlgError, MemoryError) as exc:
-        return None, None, f"sigma(A+Delta) not computed: {type(exc).__name__}"
+        except (np.linalg.LinAlgError, MemoryError) as exc:
+            return None, None, f"sigma(A+Delta) not computed: {type(exc).__name__}"
+        return float(s[-1]), float(s[0]), ""
+    u, v = result.u, result.v
+    smin = min(np.linalg.norm(B @ v) / np.linalg.norm(v),
+               np.linalg.norm(B.T @ u) / np.linalg.norm(u) if u.any() else math.inf)
+    return float(smin), None, ""
 
 
 def _summarize(start: StartingPoint, result: SolveResult | None):

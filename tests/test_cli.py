@@ -236,6 +236,25 @@ def test_report_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_solve_on_the_krylov_route_reports_the_residual_bound(tmp_path, capsys):
+    # above the dense threshold A has an LU: the certificate is the residual
+    # bound alone, sigma_max is null, and the report stays deterministic
+    A = sp.random(200, 200, density=0.02, random_state=np.random.RandomState(0)) + sp.eye(200)
+    mat = tmp_path / "k.mtx"
+    write_matrix(mat, A)
+    texts = []
+    for name in ("k1.json", "k2.json"):
+        out = tmp_path / name
+        assert run(["solve", mat, "--out", out]) == 0
+        rep = load_report(out)
+        assert rep["sigma_max"] is None and rep["sigma_error"] == ""
+        assert rep["sigma_min"] <= 1e-12 * np.linalg.norm(A.toarray())
+        assert "(residual bound)" in capsys.readouterr().out
+        texts.append([line for line in out.read_text().splitlines()
+                      if '"wall_time_s"' not in line])
+    assert texts[0] == texts[1]
+
+
 def test_report_float_precision():
     text = render_report({"x": 0.1, "flag": True, "n": 3})
     assert '"x": 0.10000000000000001' in text

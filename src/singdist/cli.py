@@ -49,8 +49,6 @@ def _encode(obj, registry):
             return repr(x)
         registry.append(x)
         return _TOKEN.format(len(registry) - 1)
-    if isinstance(obj, np.integer):
-        return int(obj)
     if isinstance(obj, dict):
         return {str(k): _encode(v, registry) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

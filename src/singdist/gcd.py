@@ -170,7 +170,8 @@ def gcd_distance(pair: PolynomialPair, d: int, options: SolverOptions | None = N
     inst = build_sylvester(pair, d)
     P = ProblemInstance(inst.matrix, inst.structure, options)
     result = solve(P)
-    coords = inst.structure.coefficients(result.delta)
+    # Delta's coordinates M(v)^T u, the vector every residual of the solve used
+    coords = inst.structure.apply_mt(result.v, result.u)
     delta_p = coords[: pair.deg_p + 1]
     delta_q = coords[pair.deg_p + 1 :]
     distance = float(result.distance)

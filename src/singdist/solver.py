@@ -193,7 +193,7 @@ def residual_G_beta(P: ProblemInstance, u, v):
     Returns ``(u, v, G)`` with ||v|| = 1. A point whose v is zero or whose
     entries are not finite has no representative; its G is NaN, which no
     line search accepts. The name is kept for the benchmark's
-    ``solver.residual`` hook (``perfbench/tracing.py``) until ROADMAP item 7
+    ``solver.residual`` hook (``perfbench/tracing.py``) until ROADMAP item 10
     renames both.
     """
     u = np.asarray(u, dtype=float)
@@ -208,40 +208,39 @@ def residual_G_beta(P: ProblemInstance, u, v):
 def bordered_jacobian(P: ProblemInstance, u, v):
     """The bordered Jacobian K = [[H, c], [c^T, 0]] of G at (u, v), c = [0; v].
 
-    H = [[M M^T, B], [B^T, N N^T]] with M = M(v), N = N(u) and
-    B = A + R + M N^T, R = ``project_rank1(u, v)``; K is symmetric. B is
-    built once per call: A + ``h_offdiag`` for a pattern (whose M N^T is R),
-    A + (M N^T + R) for a basis on the dense path, from one ``m_matrix`` and
-    one ``n_matrix``, which also give its Gram blocks. On the dense path (A
-    without LU, ``P.factor`` is None) K is an ndarray filled in place. On
-    the Krylov path (A with LU) it is x -> K x,
-    applied block by block so that memory stays linear in A: B x2 and
-    B^T x1 plus a pattern's diagonal Gram blocks (``gram_diagonals``) or,
-    for a basis, whose B there is A + R, the maps,
+    H = [[M M^T, B + M N^T], [(B + M N^T)^T, N N^T]] with M = M(v),
+    N = N(u) and B = A + Delta, Delta = ``project_rank1(u, v)``; K is
+    symmetric. B is built once per call, one way per structure kind on
+    both routes: a pattern, whose M N^T is Delta, folds it into B as
+    A + ``h_offdiag``; a basis builds A + Delta. On the dense route (A
+    without LU, ``P.factor`` is None) K is an ndarray filled in place with
+    a pattern's diagonal Gram blocks (``gram_diagonals``) or a basis's
+    M M^T, N N^T and M N^T from one ``m_matrix`` and one ``n_matrix``;
+    every structure then adds B to the off-diagonal block and mirrors it.
+    On the Krylov route (A with LU) it is x -> K x, applied block by block
+    so that memory stays linear in A: B x2 and B^T x1 plus a pattern's
+    diagonal Gram blocks or, for a basis, the maps,
     H [x1; x2] = [B x2 + M w; B^T x1 + N w] with w = M^T x1 + N^T x2.
     """
     S = P.structure
     m, N = P.m, P.m + P.n
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    dense = P.factor is None
     if S.diagonal_gram:
         g1, g2 = S.gram_diagonals(u, v)
         B = P.A + S.h_offdiag(u, v)
-    elif dense:
-        Mm, Nm = S.m_matrix(v), S.n_matrix(u)
-        B = P.A + (Mm @ Nm.T + S.project_rank1(u, v))
     else:
         B = P.A + S.project_rank1(u, v)
 
-    if dense:
+    if P.factor is None:
         K = np.zeros((N + 1, N + 1))
         if S.diagonal_gram:
             K[np.arange(N), np.arange(N)] = np.concatenate([g1, g2])
         else:
-            K[:m, :m], K[m:N, m:N] = Mm @ Mm.T, Nm @ Nm.T
-        B = as_dense(B)
-        K[:m, m:N], K[m:N, :m] = B, B.T
+            Mm, Nm = S.m_matrix(v), S.n_matrix(u)
+            K[:m, :m], K[m:N, m:N], K[:m, m:N] = Mm @ Mm.T, Nm @ Nm.T, Mm @ Nm.T
+        K[:m, m:N] += as_dense(B)
+        K[m:N, :m] = K[:m, m:N].T
         K[m:N, N] = K[N, m:N] = v
         return K
 
@@ -282,13 +281,13 @@ def newton_step(P: ProblemInstance, state: SolverState):
     The system is [[H, c], [c^T, 0]] [du; dv; lam] = [-G; 0] with
     c = [0; v]: the border row asks v . dv = 0, which removes the gauge
     direction (u, -v) from the step, and lam is discarded. Both paths
-    build the bordered matrix, and its off-diagonal block B, once per step
+    build the bordered matrix, and its B = A + Delta, once per step
     through ``bordered_jacobian``.
     An A without LU (``P.factor`` is None) takes the dense route: the
     array it returns is solved with the direct solver and its minimum-norm
     fallback (``inner`` is None). An A with LU applies it block by block,
-    one product with B and one with B^T per application (a basis's B
-    leaves M N^T to the maps), in GCROT(m, k) to a true relative residual
+    one product with B and one with B^T per application (a basis leaves
+    M N^T to the maps), in GCROT(m, k) to a true relative residual
     of at most ``INNER_TOL``, starting from zero and right-preconditioned
     by the inverse of blockdiag([[0, A], [A^T, 0]], 1) (H's leading part
     while u and Delta are small), which maps
@@ -359,8 +358,9 @@ class SolveResult:
     exact, from a full SVD.
     For an A with LU, dense or sparse, ``sigma_min`` is the residual upper
     bound ||(A + Delta) v|| (or its left counterpart, whichever is smaller),
-    which certifies singularity without factoring A + Delta, and
-    ``sigma_max`` is None (``linalg.spectral_norm`` gives it on demand).
+    read from ``residual_av`` and ``residual_atu``, which certifies
+    singularity without factoring A + Delta, and ``sigma_max`` is None
+    (``linalg.spectral_norm`` gives it on demand).
     ``sigma_error`` can only come from the dense SVD.
     """
 
@@ -501,22 +501,23 @@ def _certificate_sigmas(P: ProblemInstance, result: SolveResult):
 
     Routed like the rest of the solve. Without an LU of A both sigmas are
     exact, from a full SVD, the only step that can fail. With one, A is
-    square and B is not factored: ``sigma_min`` is the residual upper bound
-    the root (u, v) gives, min(||B v|| / ||v||, ||B^T u|| / ||u||) computed
-    explicitly from B (the first alone when u = 0), and ``sigma_max`` is
-    None. ``reason`` is empty on success and otherwise a fixed string
-    naming the exception, so reports stay deterministic.
+    square and B is neither formed nor factored: ``sigma_min`` is the
+    residual upper bound the root (u, v) gives,
+    min(||B v|| / ||v||, ||B^T u|| / ||u||) (the first alone when u = 0),
+    whose norms are the result's ``residual_av`` and ``residual_atu``, the
+    two halves of the G that ``residual_G`` computed there, and
+    ``sigma_max`` is None. ``reason`` is empty on success and otherwise a
+    fixed string naming the exception, so reports stay deterministic.
     """
-    B = P.A + result.delta
     if P.factor is None:
         try:
-            s = np.linalg.svd(as_dense(B), compute_uv=False)
+            s = np.linalg.svd(as_dense(P.A + result.delta), compute_uv=False)
         except (np.linalg.LinAlgError, MemoryError) as exc:
             return None, None, f"sigma(A+Delta) not computed: {type(exc).__name__}"
         return float(s[-1]), float(s[0]), ""
     u, v = result.u, result.v
-    smin = min(np.linalg.norm(B @ v) / np.linalg.norm(v),
-               np.linalg.norm(B.T @ u) / np.linalg.norm(u) if u.any() else math.inf)
+    smin = min(result.residual_av / np.linalg.norm(v),
+               result.residual_atu / np.linalg.norm(u) if u.any() else math.inf)
     return float(smin), None, ""
 
 

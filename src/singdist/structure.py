@@ -21,10 +21,13 @@ Each is an entry-wise kernel on the E entries composed with V (entry values
 to coordinates) or V^T (coordinates to entry values), so time and memory
 follow E and the nonzeros of V, never m n. Delta = project_rank1(u, v) has
 coordinates delta = M(v)^T u = N(u)^T v, one vector for both
-Delta v = M delta and Delta^T u = N delta. The curvature blocks come from
-two Gram kernels, each used whole: the pattern kernel (``gram_diagonals``,
-``h_offdiag``) only where ``diagonal_gram`` holds, and the factor kernel
-(``m_matrix``, ``n_matrix`` and the maps) for every basis.
+Delta v = M delta and Delta^T u = N delta, and the only formula for
+Delta's coordinates (``apply_mt``). The curvature blocks M M^T, N N^T and
+M N^T come from two Gram kernels, each used whole: the pattern kernel only
+where ``diagonal_gram`` holds (diagonal Gram blocks, ``gram_diagonals``,
+and M N^T = Delta, which ``h_offdiag`` adds to Delta), and the factor
+kernel for every basis (``m_matrix`` and ``n_matrix`` on the dense Newton
+route, the maps on the Krylov route).
 """
 
 from __future__ import annotations
@@ -272,19 +275,16 @@ class FullStructure(SparsityPattern):
     ``M(v) vec(X) = X v`` and ``N(u) vec(X) = X^T u``, and the pattern
     operators apply unchanged. The pattern arrays take O(m n) memory and
     set-up time. ``project_rank1`` returns the dense outer product u v^T.
-    It takes a shape, ``FullStructure(A.shape)``, or its two dimensions,
-    ``FullStructure(m, n)``.
     """
 
-    def __init__(self, n_rows, n_cols=None):
-        if n_cols is None:
-            n_rows, n_cols = n_rows
+    def __init__(self, shape):
+        n_rows, n_cols = shape
         if n_rows <= 0 or n_cols <= 0:
             raise StructureError("dimensions must be positive")
         super().__init__(n_rows, n_cols, np.indices((n_rows, n_cols)).reshape(2, -1).T)
 
     def __repr__(self):
-        return f"FullStructure({self.shape[0]}, {self.shape[1]})"
+        return f"FullStructure({self.shape})"
 
     def project_rank1(self, u, v):
         u, v = self._uv(u, v)
@@ -363,10 +363,6 @@ class BasisStructure(LinearStructure):
 
     def __repr__(self):
         return f"BasisStructure({self.shape[0]}x{self.shape[1]}, p={self.dim})"
-
-    def coefficients(self, X):
-        """Coordinates <B_i, X> of the projection of ``X`` in the basis."""
-        return self._coords(self._entry_values(X))
 
     def from_coefficients(self, c):
         """The member matrix sum_i c_i B_i, as CSR."""

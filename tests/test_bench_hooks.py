@@ -46,7 +46,7 @@ def test_each_structure_op_records_one_span_and_uninstall_restores_classes():
     assert {cls.__name__ for cls in classes} == set(tracing.STRUCTURE_CLASSES)
     before = [dict(vars(cls)) for cls in classes]
     pattern = SparsityPattern(3, 2, [(0, 0), (1, 1), (2, 0)])
-    structures = (FullStructure(3, 2), pattern, pattern.to_basis())
+    structures = (FullStructure((3, 2)), pattern, pattern.to_basis())
     u, v = np.arange(1.0, 4.0), np.array([0.5, -2.0])
     tracer = tracing.Tracer()
     try:

@@ -131,6 +131,17 @@ def test_gcd_distance_d9():
                        make_test_polynomials().p_coeffs, atol=1e-15)
 
 
+@pytest.mark.parametrize("d", [9, 8])
+def test_gcd_delta_is_the_coordinates_of_the_solvers_delta(d):
+    # delta_p and delta_q are M(v)^T u at the returned (u, v), the coordinates
+    # every residual of the solve used, not a re-projection of Delta
+    pair = make_test_polynomials()
+    res = gcd_distance(pair, d)
+    S = build_sylvester(pair, d).structure
+    assert np.array_equal(np.concatenate([res.delta_p, res.delta_q]),
+                          S.apply_mt(res.result.v, res.result.u))
+
+
 def test_gcd_distance_reports_unconverged_best_effort():
     # no start converges within one Newton step; the best one is still reported
     res = gcd_distance(make_test_polynomials(), 7, SolverOptions(max_newton_iters=1))

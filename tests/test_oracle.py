@@ -84,7 +84,7 @@ def test_evaluate_takes_the_gradient_from_delta_coordinates(monkeypatch):
     v = rng.standard_normal(5)
     v /= np.linalg.norm(v)
     calls = count_structure_calls(monkeypatch, ("apply_mt", "apply_n", "apply_nt"))
-    for S in (FullStructure(6, 5), random_orthonormal_basis(rng, 6, 5, 9)):
+    for S in (FullStructure((6, 5)), random_orthonormal_basis(rng, 6, 5, 9)):
         calls.clear()
         ev = evaluate(ProblemInstance(A, S), v, 1e-10)
         assert dict(calls) == {"apply_mt": 1, "apply_n": 1}

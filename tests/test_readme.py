@@ -1,5 +1,7 @@
-"""The README's code runs, and the package exports exactly its public surface."""
+"""The README's code runs and states the code's values, and the package exports
+exactly its public surface."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -9,6 +11,7 @@ import re
 import pytest
 
 import singdist
+from singdist import cli, linalg, oracle, solver
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -66,3 +69,28 @@ def test_public_surface():
 def test_solver_option_fields():
     fields = tuple(f.name for f in dataclasses.fields(singdist.SolverOptions))
     assert fields == SOLVER_OPTION_FIELDS
+
+
+def _number_after(text, pattern):
+    match = re.search(pattern, text)
+    assert match, f"no text matches {pattern!r}"
+    return float(match.group(1))
+
+
+def test_readme_states_the_codes_values():
+    # every run of whitespace, line breaks included, as one space
+    text = " ".join(README.read_text().split())
+    assert f"m + n ≤ {solver.DENSE_THRESHOLD}" in text
+    assert f"m + n > {solver.DENSE_THRESHOLD}" in text
+    assert f"{linalg.DENSE_FALLBACK_MAX_N} unknowns" in text
+    assert f"{linalg.DENSE_FALLBACK_MAX_N}² entries" in text
+    assert _number_after(text, r"true relative residual of (\S+)") == solver.INNER_TOL
+    assert (_number_after(text, r"at most (\S+) \|\|A\|\|_F gives distance 0")
+            == solver.SINGULAR_INPUT_RTOL)
+
+
+def test_eps_help_states_the_oracle_default():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    eps = next(a for a in sub.choices["certify"]._actions if "--eps" in a.option_strings)
+    assert _number_after(eps.help, r"default (\S+) ") == oracle.DEFAULT_EPS_REL

@@ -90,7 +90,7 @@ def test_residual_computes_delta_coordinates_once(monkeypatch):
     A = rng.standard_normal((5, 4))
     u, v = rng.standard_normal(5), rng.standard_normal(4)
     calls = count_structure_calls(monkeypatch, ("apply_m", "apply_mt", "apply_n", "apply_nt"))
-    for S in (FullStructure(5, 4), random_pattern(rng, 5, 4)[0],
+    for S in (FullStructure((5, 4)), random_pattern(rng, 5, 4)[0],
               random_orthonormal_basis(rng, 5, 4, 7)):
         calls.clear()
         g = residual_G(ProblemInstance(A, S), u, v)
@@ -395,7 +395,7 @@ def test_starting_values_take_the_norm_of_delta_coordinates(monkeypatch):
     # coordinates M(v_k)^T u_k without building the projection
     rng = np.random.default_rng(24)
     A = rng.standard_normal((6, 5))
-    for S in (FullStructure(6, 5), random_pattern(rng, 6, 5)[0],
+    for S in (FullStructure((6, 5)), random_pattern(rng, 6, 5)[0],
               random_orthonormal_basis(rng, 6, 5, 9)):
         P = ProblemInstance(A, S)
         trips = linalg.smallest_singular_triplets(P.A, 3, factor=P.factor)
@@ -959,6 +959,21 @@ def test_dense_input_above_threshold_certifies_without_lanczos(monkeypatch):
     assert calls == []
 
 
+def test_krylov_route_sigma_min_is_the_returned_residual_bound():
+    # the certificate reads the residual norms of the G the solve returned
+    # rather than forming A + Delta again, on sparse and on dense input
+    rng = np.random.default_rng(0)
+    dense = (rng.random((200, 200)) < 0.4) * rng.standard_normal((200, 200)) + 3 * np.eye(200)
+    sparse = sp.random(200, 200, density=0.02, random_state=np.random.RandomState(0)) + sp.eye(200)
+    for A in (sparse, dense):
+        P = ProblemInstance(A)
+        assert P.factor is not None
+        res = solve(P)
+        assert res.converged
+        assert res.sigma_min == min(res.residual_av / np.linalg.norm(res.v),
+                                    res.residual_atu / np.linalg.norm(res.u))
+
+
 def test_certificate_failure_is_recorded(monkeypatch):
     def broken_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -998,7 +1013,7 @@ def test_problem_instance_resolves_options_and_checks_structure_shape():
     P = ProblemInstance(A, options=SolverOptions(grad_tol=1e-9))
     assert P.grad_tol == 1e-9
     with pytest.raises(DimensionMismatchError, match="structure shape"):
-        ProblemInstance(A, FullStructure(2, 3))
+        ProblemInstance(A, FullStructure((2, 3)))
 
 
 @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])

@@ -222,7 +222,6 @@ def extract_cofactors(instance: SylvesterInstance, gcd_result: GcdResult) -> Cof
     flagged unreliable at machine-precision distances, where the kernel
     vector carries no usable signal.
     """
-    pair = instance.pair
     v = np.asarray(gcd_result.kernel, dtype=float)
     if v.size != instance.matrix.shape[1]:
         raise ExtractionError("kernel vector does not match the Sylvester column count")

@@ -27,6 +27,10 @@ backends stay swappable:
 * ``spectral_norm``: sigma_max of a dense or sparse matrix by one Lanczos
   run, on demand. No solve calls it: where a Krylov-route result's
   ``sigma_max`` is None, ``spectral_norm(P.A + res.delta)`` gives it.
+
+``validate_matrix`` checks a matrix from outside once, in
+``solver.ProblemInstance``; the kernels take the float ndarray or CSR it
+returns, and the float vectors of the Krylov solvers, as they are.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from .errors import DimensionMismatchError, StructureError, TripletError
-from .structure import as_dense
 
 __all__ = [
     "smallest_singular_triplets",
@@ -184,17 +187,16 @@ class LUFactor:
 
     def solve(self, b, trans=False):
         """``A^-1 b``, or ``A^-T b`` when ``trans``."""
-        return self._solve(np.asarray(b, dtype=float), trans)
+        return self._solve(b, trans)
 
 
 def factorize(A):
-    """``LUFactor`` of a square matrix, or None when A is exactly singular.
+    """``LUFactor`` of a square A as ``validate_matrix`` returns it; None if exactly singular.
 
     A sparse A goes to SuperLU or, when its LU is predicted to fill in, to
     LAPACK densified (see ``LUFactor``); either kernel's exact zero pivot
     gives None.
     """
-    A = validate_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"factorize needs a square matrix, got {A.shape}")
     try:
@@ -212,7 +214,7 @@ def _dense_triplets(A, k):
         raise TripletError(
             f"dense SVD of a sparse {m} x {n} matrix exceeds {DENSE_FALLBACK_MAX_N}^2 entries"
         )
-    U, s, Vt = scipy.linalg.svd(as_dense(A), full_matrices=False)
+    U, s, Vt = scipy.linalg.svd(A.toarray() if sp.issparse(A) else A, full_matrices=False)
     out = []
     for i in range(1, k + 1):
         out.append((float(s[-i]), U[:, -i].copy(), Vt[-i, :].copy()))
@@ -275,7 +277,6 @@ def smallest_singular_triplets(A, k=1, *, factor=None):
     ``TripletError``, as does a triplet residual above the bound, with the
     achieved residual.
     """
-    A = validate_matrix(A)
     m, n = A.shape
     if k < 1 or k > min(m, n):
         raise DimensionMismatchError(f"k={k} out of range for shape {A.shape}")

@@ -130,7 +130,8 @@ def certify_solution(P: ProblemInstance, result, eps: float | None = None,
     Checks ``||grad_v|| <= tol_cert`` and
     ``|f_eps - distance^2| <= tol_cert (1 + distance^2)``. Report-only: a
     failed certificate is returned, not raised. ``rank_drop`` flags
-    min diag(M M^T) < eps, where the unregularized objective has a removable
+    min diag(M M^T) < eps or a basis of dimension p < m (M M^T then has
+    rank at most p < m), where the unregularized objective has a removable
     discontinuity and the gradient test loses meaning. ``eps`` and
     ``tol_cert`` must be positive and finite: an infinite eps zeroes u and
     so the gradient, and an infinite tolerance passes anything.
@@ -157,5 +158,5 @@ def certify_solution(P: ProblemInstance, result, eps: float | None = None,
         eps=float(eps),
         tol_cert=float(tol_cert),
         min_gram_diag=ev.min_gram_diag,
-        rank_drop=bool(ev.min_gram_diag < eps),
+        rank_drop=bool(ev.min_gram_diag < eps or P.structure.dim < P.m),
     )

@@ -224,8 +224,6 @@ def bordered_jacobian(P: ProblemInstance, u, v):
     """
     S = P.structure
     m, N = P.m, P.m + P.n
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
     if S.diagonal_gram:
         g1, g2 = S.gram_diagonals(u, v)
         B = P.A + S.h_offdiag(u, v)

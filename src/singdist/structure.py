@@ -81,6 +81,11 @@ class LinearStructure:
     read-only; instances are immutable after construction and safe to share
     between concurrent solves.
 
+    Outside input is checked once: the constructors, ``project``,
+    ``project_rank1`` and ``from_coefficients`` reject complex values and
+    wrong shapes. The maps take the solver's 1-D float vectors as given: u
+    of length m, v of length n, coordinates of length ``dim``.
+
     ``diagonal_gram`` is True where M(v) M(v)^T and N(u) N(u)^T are diagonal
     for every u, v, so the pattern kernel holds: on every sparsity pattern.
     """
@@ -158,28 +163,20 @@ class LinearStructure:
 
     def apply_m(self, v, x):
         """``M(v) x`` for a coefficient vector x of length ``dim``."""
-        v = _as_vector(v, self.shape[1], "v")
-        x = _as_vector(x, self.dim, "x")
         w = self._values(x) * v[self.cols]
         return np.bincount(self.rows, weights=w, minlength=self.shape[0])
 
     def apply_mt(self, v, y):
         """``M(v)^T y`` for y of length m."""
-        v = _as_vector(v, self.shape[1], "v")
-        y = _as_vector(y, self.shape[0], "y")
         return self._coords(y[self.rows] * v[self.cols])
 
     def apply_n(self, u, x):
         """``N(u) x`` for a coefficient vector x of length ``dim``."""
-        u = _as_vector(u, self.shape[0], "u")
-        x = _as_vector(x, self.dim, "x")
         w = self._values(x) * u[self.rows]
         return np.bincount(self.cols, weights=w, minlength=self.shape[1])
 
     def apply_nt(self, u, y):
         """``N(u)^T y`` for y of length n."""
-        u = _as_vector(u, self.shape[0], "u")
-        y = _as_vector(y, self.shape[1], "y")
         return self._coords(u[self.rows] * y[self.cols])
 
     def gram_diagonals(self, u, v):
@@ -190,7 +187,6 @@ class LinearStructure:
         """
         if not self.diagonal_gram:
             raise StructureError(f"{type(self).__name__} has no diagonal Gram matrices")
-        u, v = self._uv(u, v)
         k1 = np.bincount(self.rows, weights=v[self.cols] ** 2, minlength=self.shape[0])
         k2 = np.bincount(self.cols, weights=u[self.rows] ** 2, minlength=self.shape[1])
         return k1, k2
@@ -205,17 +201,14 @@ class LinearStructure:
         """
         if not self.diagonal_gram:
             raise StructureError(f"{type(self).__name__} has no pattern off-diagonal block")
-        u, v = self._uv(u, v)
         return self._member(2.0 * (u[self.rows] * v[self.cols]))
 
     def m_matrix(self, v):
         """Dense m x p assembly of M(v), for the dense Newton step and the oracle."""
-        v = _as_vector(v, self.shape[1], "v")
         return self._gram_factor(self.rows, self.shape[0], v[self.cols])
 
     def n_matrix(self, u):
         """Dense n x p assembly of N(u), for the dense Newton step."""
-        u = _as_vector(u, self.shape[0], "u")
         return self._gram_factor(self.cols, self.shape[1], u[self.rows])
 
 

@@ -176,7 +176,7 @@ def test_dense_svd_of_large_sparse_input_raises(monkeypatch):
     smallest_singular_triplets(A.toarray(), 1)
 
 
-def test_lu_factor_solves_and_inverts_augmented(monkeypatch):
+def test_lu_factor_solves_with_either_kernel(monkeypatch):
     rng = np.random.default_rng(19)
     n = 40
     A = sp.csr_array(sp.random(n, n, density=0.1, random_state=np.random.RandomState(19))
@@ -323,8 +323,8 @@ def test_solve_dense_minimum_norm_fallback():
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
 def test_solve_dense_singular_lu_warns_nothing():
     # every Newton step of this rectangular problem meets an exactly zero LU
-    # pivot in H_beta; the least-squares fallback handles it, so LAPACK's
-    # singular-matrix warning must not reach the caller
+    # pivot in the bordered Jacobian; the least-squares fallback handles it,
+    # so LAPACK's singular-matrix warning must not reach the caller
     A = sp.csr_array(sp.random(30, 20, density=0.3, random_state=np.random.RandomState(42)))
     assert solve(ProblemInstance(A)).converged
 

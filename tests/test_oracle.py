@@ -4,8 +4,10 @@ import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from singdist import (
+    BasisStructure,
     FullStructure,
     ProblemInstance,
     SparsityPattern,
@@ -187,6 +189,24 @@ def test_default_eps_does_not_bias_a_large_distance(shape):
     cert = certify_solution(P, res)
     assert cert.passed and not cert.rank_drop
     assert cert.grad_norm <= 1e-8
+
+
+def test_rank_drop_flags_a_basis_smaller_than_m():
+    # M(v) M(v)^T has rank at most p < m at every v, so min diag(M M^T) alone
+    # misses the drop: on the 7-member normalized Toeplitz band of order
+    # 100 the certificate FAILs with |grad| 15.18 and reads rank_drop
+    n, offsets = 100, range(-3, 4)
+    S = BasisStructure([sp.diags_array(np.full(n - abs(k), 1.0 / np.sqrt(n - abs(k))),
+                                       offsets=k, shape=(n, n)) for k in offsets])
+    rng = np.random.default_rng(0)
+    A = sum(np.diag(rng.standard_normal(n - abs(k)), k) for k in offsets) + 2.0 * np.eye(n)
+    P = ProblemInstance(A, S)
+    res = solve(P)
+    assert res.converged and res.iterations == 5
+    cert = certify_solution(P, res)
+    assert S.dim < P.m and cert.min_gram_diag >= cert.eps
+    assert cert.rank_drop and not cert.passed
+    assert abs(cert.grad_norm - 15.18) <= 0.01
 
 
 def test_certify_example_diag():

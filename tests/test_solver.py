@@ -1,5 +1,6 @@
 """Newton solver: residuals, curvature operator, line search, multistart."""
 
+import collections
 import math
 import re
 import tracemalloc
@@ -16,10 +17,12 @@ from singdist import (
     BasisStructure,
     DimensionMismatchError,
     FullStructure,
+    LinearStructure,
     ProblemInstance,
     SolverOptions,
     SparsityPattern,
     certify_solution,
+    gcd,
     linalg,
     solve,
     solver,
@@ -266,7 +269,7 @@ def test_krylov_route_memory_on_a_dense_A_stays_linear_in_A():
     assert peak < 2 * A.nbytes, f"peak {peak / A.nbytes:.2f} x the bytes of A"
 
 
-def test_H_beta_symmetry():
+def test_bordered_jacobian_is_symmetric():
     rng = np.random.default_rng(26)
     for a_in_structure in (True, False):
         A, S = pattern_instance(rng, n=8, a_in_structure=a_in_structure)
@@ -613,6 +616,66 @@ def test_dense_route_builds_each_gram_factor_once(monkeypatch):
         calls.clear()
         bordered_jacobian(P, u, v)
         assert dict(calls) == expected
+
+
+#: the documented length of each vector argument of the structure maps,
+#: which take them unchecked: m for u and the y of M^T, n for v and the y
+#: of N^T, p (``dim``) for coordinates
+MAP_ARGUMENTS = {"apply_m": "np", "apply_mt": "nm", "apply_n": "mp", "apply_nt": "mn",
+                 "m_matrix": "n", "n_matrix": "m", "gram_diagonals": "mn", "h_offdiag": "mn"}
+
+
+@pytest.mark.parametrize("case", ["pattern-dense", "pattern-krylov", "basis-dense",
+                                  "basis-krylov", "full", "gcd"])
+def test_maps_and_linalg_take_the_arrays_the_solver_built(monkeypatch, case):
+    # the structure maps, factorize and smallest_singular_triplets check no
+    # input; a solve and its certificate hand every map 1-D float64 vectors
+    # of the documented lengths, and linalg the A ProblemInstance validated
+    calls, bad, received = collections.Counter(), [], []
+    for name, lengths in MAP_ARGUMENTS.items():
+        def checking(self, *args, _op=getattr(LinearStructure, name), _name=name,
+                     _lengths=lengths):
+            size = {"m": self.shape[0], "n": self.shape[1], "p": self.dim}
+            calls[_name] += 1
+            for x, length in zip(args, _lengths, strict=True):
+                if not (isinstance(x, np.ndarray) and x.dtype == np.float64
+                        and x.shape == (size[length],)):
+                    bad.append((_name, type(x).__name__, getattr(x, "dtype", None), np.shape(x)))
+            return _op(self, *args)
+        monkeypatch.setattr(LinearStructure, name, checking)
+    for name in ("factorize", "smallest_singular_triplets"):
+        def recording(A, *args, _fn=getattr(linalg, name), **kw):
+            received.append(A)
+            return _fn(A, *args, **kw)
+        monkeypatch.setattr(linalg, name, recording)
+    solved = []
+    if case == "gcd":
+        def capturing(P, _solve=gcd.solve):
+            solved.append((P, _solve(P)))
+            return solved[-1][1]
+        monkeypatch.setattr(gcd, "solve", capturing)
+        gcd.gcd_distance(gcd.make_test_polynomials(), 9)
+    else:
+        if case == "full":
+            A = np.random.default_rng(27).standard_normal((7, 5))
+            S = FullStructure(A.shape)
+        else:
+            A = sparse_instance(40, 48)
+            S = SparsityPattern.from_matrix(A)
+            S = S.to_basis() if case.startswith("basis") else S
+        if case.endswith("krylov"):
+            monkeypatch.setattr(solver, "DENSE_THRESHOLD", 50)
+        P = ProblemInstance(A, S)
+        solved.append((P, solve(P)))
+    P, res = solved[0]
+    certify_solution(P, res)
+    # the smallest singular triplet of A already solves the full structure
+    assert res.converged and (res.iterations > 0) == (case != "full")
+    assert (P.factor is not None) == case.endswith("krylov")
+    assert bad == []
+    assert received and all(A is P.A for A in received)
+    # only a basis on the Krylov route reaches apply_nt, in bordered_jacobian
+    assert (calls["apply_nt"] > 0) == (case == "basis-krylov")
 
 
 def test_krylov_newton_step_meets_inner_tol(monkeypatch):

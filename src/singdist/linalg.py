@@ -3,27 +3,28 @@
 The solver is written against the contracts in this module so the numerical
 backends stay swappable:
 
-* ``factorize``: one LU factorization of a square A behind
-  ``LUFactor.solve(b, trans)``: LAPACK for dense A, SuperLU for sparse A
-  whose LU stays sparse, and LAPACK again for sparse A whose LU is predicted
-  to fill in, densified up to ``DENSE_FALLBACK_MAX_N``^2 entries. The
-  triplet solver and the Newton preconditioner share it, so A is factored
-  once per problem.
+* ``factorize``: one LU factorization of a square A, returned as its solve
+  function ``solve(b, trans=False)``: LAPACK for dense A, SuperLU for
+  sparse A whose LU stays sparse, and LAPACK again for sparse A whose LU is
+  predicted to fill in, densified up to ``DENSE_FALLBACK_MAX_N``^2 entries.
+  The triplet solver and the Newton preconditioner share it, so A is
+  factored once per problem.
 * ``smallest_singular_triplets``: the K smallest singular triplets of a dense
-  or sparse matrix, checked against ||A||_F. Handed an ``LUFactor`` of A
-  and K <= n - 2, it runs Lanczos on A^-1 A^-T, two triangular solves per
-  step, whose largest eigenvalues are 1 / sigma^2 of the smallest singular
-  values, so it is robust for singular values near zero; otherwise it takes
-  a full SVD.
+  or sparse matrix, checked against ||A||_F, which it computes on every
+  call. Handed the LU solve of A and K <= n - 2, it runs Lanczos on
+  A^-1 A^-T, two triangular solves per step, whose largest eigenvalues are
+  1 / sigma^2 of the smallest singular values, so it is robust for
+  singular values near zero; otherwise it takes a full SVD.
 * ``solve_dense``: LU solve with a condition estimate, falling back to a
   minimum-norm least-squares solution when the matrix is numerically
   singular.
-* ``solve_symmetric_iterative``: right-preconditioned flexible GCROT(m, k)
-  for a symmetric (possibly indefinite) operator and its preconditioner,
-  both given as matvec callables (the solver's preconditioner is built on
-  ``LUFactor.solve``), with a budget of as many Krylov directions as the
-  order of the system. It stops on the true relative residual and returns
-  it, so callers can treat inexact solutions as search directions.
+* ``solve_symmetric_iterative``: right-preconditioned flexible GCROT with
+  no pairs carried between cycles, for a symmetric (possibly indefinite)
+  operator and its preconditioner, both given as matvec callables (the
+  solver's preconditioner is built on the solve ``factorize`` returns),
+  with a budget of as many Krylov directions as the order of the system.
+  It stops on the true relative residual and returns it, so callers can
+  treat inexact solutions as search directions.
 * ``spectral_norm``: sigma_max of a dense or sparse matrix by one Lanczos
   run, on demand. No solve calls it: where a Krylov-route result's
   ``sigma_max`` is None, ``spectral_norm(P.A + res.delta)`` gives it.
@@ -53,7 +54,6 @@ __all__ = [
     "solve_symmetric_iterative",
     "spectral_norm",
     "factorize",
-    "LUFactor",
     "DenseSolve",
     "IterativeSolve",
     "validate_matrix",
@@ -63,12 +63,12 @@ __all__ = [
 #: memory cap of the dense route: the dense SVD of a sparse A takes at most
 #: DENSE_FALLBACK_MAX_N^2 entries (a square A of order 4000, also one whose
 #: Lanczos run fails), as does the densified LU of a sparse A that
-#: ``LUFactor`` hands to LAPACK, and ``solver.solve`` refuses an A without
+#: ``factorize`` hands to LAPACK, and ``solver.solve`` refuses an A without
 #: LU above m + n of this, whose bordered Newton matrix is dense. Not a
 #: crossover: 4000^2 doubles is 128 MB.
 DENSE_FALLBACK_MAX_N = 4000
 
-#: fill predictor of ``LUFactor``: a sparse A whose rows, in the reverse
+#: fill predictor of ``factorize``: a sparse A whose rows, in the reverse
 #: Cuthill-McKee column order of its bipartite graph, span on average more
 #: than this fraction of the n columns is densified and factored by LAPACK,
 #: since its sparse LU fills in. It is the measured crossover of a solve's
@@ -81,15 +81,11 @@ DENSE_FALLBACK_MAX_N = 4000
 #: most 0.12.
 LU_FILL_SPREAD = 0.47
 
-#: inner FGMRES cycle length m of GCROT(m, k); the preconditioned Newton
-#: systems converge within one cycle. Every solve starts from x0 = 0 with
-#: no carried pairs, so its first cycle has GCROT_CYCLE + GCROT_RECYCLE
-#: directions.
-GCROT_CYCLE = 50
-
-#: recycled dimension k of GCROT(m, k): the most (c, u) pairs carried from one
-#: cycle to the next
-GCROT_RECYCLE = 10
+#: FGMRES cycle length of GCROT, which carries no pairs between cycles
+#: (k = 0): every solve starts from x0 = 0, and the preconditioned Newton
+#: systems of the benchmark converge within at most 18 directions of the
+#: first cycle, so no solve restarts
+GCROT_CYCLE = 60
 
 #: relative singular-value cutoff below which solve_dense switches to
 #: minimum-norm least squares
@@ -159,53 +155,37 @@ def _lu_fills_in(A):
     return bool(spread.sum() > LU_FILL_SPREAD * n * n)
 
 
-class LUFactor:
-    """LU factorization of a square matrix A behind one ``solve(b, trans)``.
+def factorize(A):
+    """The LU solve ``solve(b, trans=False)`` of a square A; None if exactly singular.
 
+    A is a float ndarray or CSR as ``validate_matrix`` returns it, and
+    ``solve(b, trans)`` gives ``A^-1 b``, or ``A^-T b`` when ``trans``.
     SuperLU factors a sparse A whose LU stays sparse. LAPACK factors a dense
     A, and a sparse A whose LU is predicted to fill in (``_lu_fills_in``),
     densified: on a 2,100-row random graph with 5 entries per row, 84 ms
-    instead of SuperLU's 247 ms.
-    An exactly singular A raises ``RuntimeError`` (SuperLU) or
-    ``np.linalg.LinAlgError`` (LAPACK).
+    instead of SuperLU's 247 ms. Either kernel's exact zero pivot, or a
+    non-finite LAPACK factor, gives None.
     """
-
-    def __init__(self, A):
-        if sp.issparse(A) and not _lu_fills_in(A):
+    if A.shape[0] != A.shape[1]:
+        raise DimensionMismatchError(f"factorize needs a square matrix, got {A.shape}")
+    if sp.issparse(A) and not _lu_fills_in(A):
+        try:
             lu = spla.splu(sp.csc_array(A))
-            self._solve = lambda b, trans: lu.solve(b, trans="T" if trans else "N")
-            return
-        densified = sp.issparse(A)
+        except RuntimeError:  # "Factor is exactly singular"
+            return None
+        return lambda b, trans=False: lu.solve(b, trans="T" if trans else "N")
+    densified = sp.issparse(A)
+    with warnings.catch_warnings():
+        # LAPACK's exact-singularity warning is turned into the None result
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         # LAPACK factors a Fortran-order copy in place; from C order
         # lu_factor would make a second n^2 copy
         lu_piv = scipy.linalg.lu_factor(A.toarray(order="F") if densified else A,
                                         overwrite_a=densified, check_finite=False)
-        if not np.all(np.isfinite(lu_piv[0])) or not np.all(np.diag(lu_piv[0])):
-            raise np.linalg.LinAlgError("matrix is exactly singular")
-        self._solve = lambda b, trans: scipy.linalg.lu_solve(
-            lu_piv, b, trans=int(trans), check_finite=False)
-
-    def solve(self, b, trans=False):
-        """``A^-1 b``, or ``A^-T b`` when ``trans``."""
-        return self._solve(b, trans)
-
-
-def factorize(A):
-    """``LUFactor`` of a square A as ``validate_matrix`` returns it; None if exactly singular.
-
-    A sparse A goes to SuperLU or, when its LU is predicted to fill in, to
-    LAPACK densified (see ``LUFactor``); either kernel's exact zero pivot
-    gives None.
-    """
-    if A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError(f"factorize needs a square matrix, got {A.shape}")
-    try:
-        with warnings.catch_warnings():
-            # LAPACK's exact-singularity warning is turned into the None result
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            return LUFactor(A)
-    except (RuntimeError, np.linalg.LinAlgError):  # SuperLU: "Factor is exactly singular"
+    if not np.all(np.isfinite(lu_piv[0])) or not np.all(np.diag(lu_piv[0])):
         return None
+    return lambda b, trans=False: scipy.linalg.lu_solve(
+        lu_piv, b, trans=int(trans), check_finite=False)
 
 
 def _dense_triplets(A, k):
@@ -236,7 +216,7 @@ def _lanczos_triplets(A, k, factor):
     n = A.shape[1]
     gram_inverse = spla.LinearOperator(
         (n, n), dtype=float,
-        matvec=lambda x: factor.solve(factor.solve(np.ravel(x), trans=True)),
+        matvec=lambda x: factor(factor(np.ravel(x), trans=True)),
     )
     v0 = np.random.default_rng(0).standard_normal(n)
     # a basis of 4k + 4 vectors: on the 800- and 2,100-row benchmark inputs,
@@ -246,7 +226,7 @@ def _lanczos_triplets(A, k, factor):
     out = []
     for j in np.argsort(w)[::-1]:
         v = V[:, j] / np.linalg.norm(V[:, j])
-        u = factor.solve(v, trans=True)
+        u = factor(v, trans=True)
         u /= np.linalg.norm(u)
         out.append((float(u @ (A @ v)), u, v))
     return out
@@ -269,13 +249,13 @@ def smallest_singular_triplets(A, k=1, *, factor=None):
     A list of (sigma, u, v) with unit-norm vectors satisfying
     ``A v = sigma u`` and ``A^T u = sigma v`` to a residual of
     ``TRIPLET_RESIDUAL_TOL`` relative to ||A||_F, which bounds sigma_max(A)
-    from above and costs no Lanczos run. A full SVD answers when ``factor``
-    is None or k >= n - 1, and when Lanczos fails; otherwise, with
-    ``factor`` an ``LUFactor`` of a square A (dense or sparse), Lanczos on
-    A^-1 A^-T from a fixed start vector (seed 0) does. The SVD of a sparse
-    A with more than ``DENSE_FALLBACK_MAX_N``^2 entries raises
-    ``TripletError``, as does a triplet residual above the bound, with the
-    achieved residual.
+    from above and costs no Lanczos run; it is computed on every call. A
+    full SVD answers when ``factor`` is None or k >= n - 1, and when
+    Lanczos fails; otherwise, with ``factor`` the solve ``factorize``
+    returns for a square A (dense or sparse), Lanczos on A^-1 A^-T from a
+    fixed start vector (seed 0) does. The SVD of a sparse A with more than
+    ``DENSE_FALLBACK_MAX_N``^2 entries raises ``TripletError``, as does a
+    triplet residual above the bound, with the achieved residual.
     """
     m, n = A.shape
     if k < 1 or k > min(m, n):
@@ -304,10 +284,9 @@ def smallest_singular_triplets(A, k=1, *, factor=None):
 
 @dataclasses.dataclass
 class DenseSolve:
-    """Result of ``solve_dense``: solution, condition estimate, fallback flag."""
+    """Result of ``solve_dense``: the solution and whether least squares gave it."""
 
     x: np.ndarray
-    rcond: float
     used_least_squares: bool
 
 
@@ -333,12 +312,11 @@ def solve_dense(M, b):
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
     rcond, _info = scipy.linalg.lapack.dgecon(lu, anorm)
-    rcond = float(rcond)
     if not np.isfinite(rcond) or rcond < RCOND_CUTOFF:
         x, *_ = np.linalg.lstsq(M, b, rcond=RCOND_CUTOFF)
-        return DenseSolve(x=x, rcond=rcond, used_least_squares=True)
+        return DenseSolve(x=x, used_least_squares=True)
     x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    return DenseSolve(x=x, rcond=rcond, used_least_squares=False)
+    return DenseSolve(x=x, used_least_squares=False)
 
 
 @dataclasses.dataclass
@@ -352,7 +330,7 @@ class IterativeSolve:
 
 
 def solve_symmetric_iterative(op, b, tol, precond):
-    """Right-preconditioned GCROT(m, k) on a symmetric (possibly indefinite) system.
+    """Right-preconditioned GCROT on a symmetric (possibly indefinite) system.
 
     ``op`` is the matvec callable of the system; the caller asserts
     symmetry. ``precond``, also a callable, approximates the inverse of
@@ -360,8 +338,9 @@ def solve_symmetric_iterative(op, b, tol, precond):
     right, so the residual minimised is the true one. The solve stops when
     the true relative residual ||b - op x|| / ||b|| is at most ``tol`` or
     after about as many new Krylov directions as the order of the system,
-    rounded up to whole ``GCROT_CYCLE`` cycles. Each direction costs one
-    application of ``precond`` and one of ``op``; ``iterations`` counts them.
+    rounded up to whole ``GCROT_CYCLE`` cycles; no pairs are carried from
+    one cycle to the next. Each direction costs one application of
+    ``precond`` and one of ``op``; ``iterations`` counts them.
 
     Returns the iterate with that achieved residual; an unconverged solve is
     not an error, since an inexact step is still a usable search direction.
@@ -380,7 +359,7 @@ def solve_symmetric_iterative(op, b, tol, precond):
 
     linop = spla.LinearOperator((n, n), matvec=op, dtype=float)
     x, _info = spla.gcrotmk(
-        linop, b, rtol=tol, maxiter=-(-n // GCROT_CYCLE), m=GCROT_CYCLE,
-        k=GCROT_RECYCLE, M=spla.LinearOperator((n, n), matvec=counted_precond, dtype=float))
+        linop, b, rtol=tol, maxiter=-(-n // GCROT_CYCLE), m=GCROT_CYCLE, k=0,
+        M=spla.LinearOperator((n, n), matvec=counted_precond, dtype=float))
     res = float(np.linalg.norm(b - op(x)) / bnorm)
     return IterativeSolve(x=x, residual=res, iterations=count, converged=res <= tol)

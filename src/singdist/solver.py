@@ -155,19 +155,18 @@ class ProblemInstance:
 
     @functools.cached_property
     def factor(self):
-        """``linalg.LUFactor`` of A, shared by the triplets and the Newton preconditioner.
+        """The LU of A: the solve ``factor(b, trans=False)`` that ``linalg.factorize`` returns.
 
-        Built on first use for a square A, dense or sparse, above
-        ``DENSE_THRESHOLD`` unknowns (m + n); None at or below it, and when
-        A is rectangular or exactly singular. LAPACK factors a dense A and,
-        densified, a sparse A whose LU is predicted to fill in; SuperLU
-        factors any other sparse A (``linalg.LUFactor``). Whether it exists
-        is the one route decision of a solve. Without it every phase is
-        dense: full-SVD triplets, the dense Newton solve and exact
-        certificate sigmas, at most ``linalg.DENSE_FALLBACK_MAX_N`` unknowns
-        (``solve`` refuses more). With it every phase is Krylov: Lanczos
-        triplets on A^-1 A^-T, GCROT Newton steps preconditioned through
-        this LU, and the residual bound for sigma_min(A + Delta).
+        The triplets and the Newton preconditioner share it. Built on first
+        use for a square A, dense or sparse, above ``DENSE_THRESHOLD``
+        unknowns (m + n); None at or below it, and when A is rectangular or
+        exactly singular. Whether it exists is the one route decision of a
+        solve. Without it every phase is dense: full-SVD triplets, the
+        dense Newton solve and exact certificate sigmas, at most
+        ``linalg.DENSE_FALLBACK_MAX_N`` unknowns (``solve`` refuses more).
+        With it every phase is Krylov: Lanczos triplets on A^-1 A^-T, GCROT
+        Newton steps preconditioned through this LU, and the residual bound
+        for sigma_min(A + Delta).
         """
         if self.m != self.n or self.m + self.n <= DENSE_THRESHOLD:
             return None
@@ -285,7 +284,7 @@ def newton_step(P: ProblemInstance, state: SolverState):
     array it returns is solved with the direct solver and its minimum-norm
     fallback (``inner`` is None). An A with LU applies it block by block,
     one product with B and one with B^T per application (a basis leaves
-    M N^T to the maps), in GCROT(m, k) to a true relative residual
+    M N^T to the maps), in GCROT to a true relative residual
     of at most ``INNER_TOL``, starting from zero and right-preconditioned
     by the inverse of blockdiag([[0, A], [A^T, 0]], 1) (H's leading part
     while u and Delta are small), which maps
@@ -300,10 +299,9 @@ def newton_step(P: ProblemInstance, state: SolverState):
     if P.factor is None:
         x = linalg.solve_dense(K, rhs).x
         return x[:m], x[m:N], None
-    solve_lu = P.factor.solve
 
     def precond(x):
-        return np.concatenate([solve_lu(x[m:N], trans=True), solve_lu(x[:m]), x[N:]])
+        return np.concatenate([P.factor(x[m:N], trans=True), P.factor(x[:m]), x[N:]])
 
     it = linalg.solve_symmetric_iterative(K, rhs, INNER_TOL, precond)
     return it.x[:m], it.x[m:N], it

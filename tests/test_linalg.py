@@ -118,20 +118,18 @@ def test_sparse_triplets_agree_with_dense(monkeypatch, K):
             assert abs(sigma - s_ref[-1 - j]) <= 1e-9 * s_ref[0]
 
 
-def test_lanczos_triplets_take_few_lu_solves(monkeypatch):
+def test_lanczos_triplets_take_few_lu_solves():
     # Lanczos on the order-n A^-1 A^-T finds each sigma once; on the
     # augmented matrix of order 2n the same triplet took 74 solves
     A = lanczos_instance()
-    factor = factorize(A)
+    solve = factorize(A)
     calls = []
-    solve = linalg.LUFactor.solve
 
-    def counting_solve(self, b, trans=False):
+    def counting_solve(b, trans=False):
         calls.append(trans)
-        return solve(self, b, trans)
+        return solve(b, trans)
 
-    monkeypatch.setattr(linalg.LUFactor, "solve", counting_solve)
-    smallest_singular_triplets(A, 1, factor=factor)
+    smallest_singular_triplets(A, 1, factor=counting_solve)
     assert 0 < len(calls) <= 40
 
 
@@ -187,8 +185,8 @@ def test_lu_factor_solves_with_either_kernel(monkeypatch):
         assert linalg._lu_fills_in(A) == (spread == 0.0)
         for M in (A, A.toarray()):
             f = factorize(M)
-            assert np.linalg.norm(A @ f.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
-            assert np.linalg.norm(A.T @ f.solve(b, trans=True) - b) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(A @ f(b) - b) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(A.T @ f(b, trans=True) - b) <= 1e-12 * np.linalg.norm(b)
     singular = sp.csr_array(sp.diags(np.r_[np.ones(n - 1), 0.0]))
     assert factorize(singular) is None
     assert factorize(singular.toarray()) is None
@@ -209,7 +207,7 @@ def random_graph(n, seed):
 
 
 def count_lu_kernels(monkeypatch):
-    """Count the calls of each LU kernel ``LUFactor`` can take."""
+    """Count the calls of each LU kernel ``factorize`` can take."""
     calls = {"superlu": 0, "lapack": 0}
 
     def counting(kernel, fn):
@@ -242,7 +240,7 @@ def test_lu_kernel_follows_the_fill_predictor(monkeypatch):
         before = dict(calls)
         f = factorize(A)
         assert calls[kernel] == before[kernel] + 1 and sum(calls.values()) == sum(before.values()) + 1
-        assert np.linalg.norm(A @ f.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+        assert np.linalg.norm(A @ f(b) - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_lu_kernel_never_densifies_above_the_dense_cap(monkeypatch):
@@ -317,7 +315,7 @@ def test_solve_dense_minimum_norm_fallback():
         assert out.used_least_squares
         x_ref = np.linalg.pinv(M) @ b
         assert np.allclose(out.x, x_ref, atol=1e-8)
-    assert out.rcond == 0.0 and not out.x.any()
+    assert not out.x.any()
 
 
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")

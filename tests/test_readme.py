@@ -4,6 +4,7 @@ exactly its public surface."""
 import argparse
 import ast
 import dataclasses
+import functools
 import importlib
 import pathlib
 import re
@@ -13,7 +14,8 @@ import pytest
 import singdist
 from singdist import cli, linalg, oracle, solver
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 #: the names the README uses, the exceptions, and the result and structure
 #: types those return
@@ -66,6 +68,42 @@ def test_public_surface():
         assert not missing, f"singdist.{module}.__all__ names missing {missing}"
 
 
+def readme_dotted_names():
+    """The backticked dotted names of the README's prose rooted in the package.
+
+    A root is ``singdist``, one of its modules or a name it exports, as in
+    ``linalg.LU_FILL_SPREAD`` or ``ProblemInstance.factor``; a call's
+    arguments are dropped.
+    """
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.DOTALL)
+    roots = {"singdist", *MODULES, *singdist.__all__}
+    names = set()
+    for span in re.findall(r"`([^`]+)`", prose):
+        match = re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)
+        if match and match.group().split(".")[0] in roots:
+            names.add(match.group())
+    return sorted(names)
+
+
+def test_readme_names_resolve():
+    # a renamed or deleted name leaves no stale reference in the README
+    names = readme_dotted_names()
+    assert names
+    stale = []
+    for name in names:
+        head, *rest = name.split(".")
+        root = singdist if head == "singdist" else getattr(singdist, head)
+        try:
+            functools.reduce(getattr, rest, root)
+        except AttributeError:
+            stale.append(name)
+    assert not stale, f"README names missing from the package: {stale}"
+    files = set(re.findall(r"BENCH_\w+\.json", README.read_text()))
+    assert files
+    absent = sorted(f for f in files if not (ROOT / f).is_file())
+    assert not absent, f"README names missing benchmark records: {absent}"
+
+
 def test_solver_option_fields():
     fields = tuple(f.name for f in dataclasses.fields(singdist.SolverOptions))
     assert fields == SOLVER_OPTION_FIELDS
@@ -85,6 +123,7 @@ def test_readme_states_the_codes_values():
     assert f"{linalg.DENSE_FALLBACK_MAX_N} unknowns" in text
     assert f"{linalg.DENSE_FALLBACK_MAX_N}² entries" in text
     assert _number_after(text, r"true relative residual of (\S+)") == solver.INNER_TOL
+    assert f"cycles of {linalg.GCROT_CYCLE} directions" in text
     assert (_number_after(text, r"at most (\S+) \|\|A\|\|_F gives distance 0")
             == solver.SINGULAR_INPUT_RTOL)
 

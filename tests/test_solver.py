@@ -774,8 +774,8 @@ def test_krylov_multistart_starts_are_independent(monkeypatch):
 def test_krylov_path_converges_on_hard_small_input(monkeypatch):
     # a small sparse input that penalty-damped Newton crawled on for about 80
     # iterations: both paths must reach the same distance in a few steps.
-    # Every step converges within GCROT's first cycle, so the number of
-    # pairs it carries between cycles (GCROT_RECYCLE) plays no part here
+    # Every step converges within GCROT's first cycle, so no solve restarts
+    # and carrying pairs between cycles could not change a step
     A = sp.csr_array(sp.random(50, 50, density=0.1, random_state=1)
                      + sp.diags(0.5 + np.random.default_rng(1).random(50)))
     dense = solve(ProblemInstance(A))
@@ -790,15 +790,15 @@ def test_krylov_path_converges_on_hard_small_input(monkeypatch):
 
 
 def count_lu(monkeypatch):
-    """Record the shape of every ``LUFactor`` construction, failed ones included."""
+    """Record the shape of every ``linalg.factorize`` call, failed ones included."""
     built = []
+    factorize = linalg.factorize
 
-    class CountingLU(linalg.LUFactor):
-        def __init__(self, A):
-            built.append(A.shape)
-            super().__init__(A)
+    def counting(A):
+        built.append(A.shape)
+        return factorize(A)
 
-    monkeypatch.setattr(linalg, "LUFactor", CountingLU)
+    monkeypatch.setattr(linalg, "factorize", counting)
     return built
 
 
@@ -1146,11 +1146,17 @@ def test_solver_invariants_at_north_star_sizes(north_star_solves):
     # with the pattern of A: a converged result is a unit v in the kernel of
     # A + Delta, Delta in the structure with distance ||Delta||_F; an
     # unconverged one names its stop and still carries sigma(A + Delta);
-    # sigma_max is computed on the dense route only
+    # sigma_max is computed on the dense route only. Every Krylov step
+    # converges within GCROT's first cycle (at most 8 directions here): no
+    # solve restarts, the one place carrying pairs between cycles could act
     failures = []
     for label, P, res in north_star_solves:
         tol = 1e-12 * P.norm_fro
         dense_sigma_max = (res.sigma_max is None) == (P.factor is not None)
+        krylov_steps = res.trace if P.factor is not None else []
+        if not all(r.inner_converged and r.inner_iterations < linalg.GCROT_CYCLE
+                   for r in krylov_steps):
+            failures.append(f"{label}: a GCROT solve left its first cycle")
         if not res.converged:
             if not (UNCONVERGED_STOP.fullmatch(res.message)
                     and res.sigma_min is not None and dense_sigma_max):

@@ -15,9 +15,9 @@ backends stay swappable:
   A^-1 A^-T, two triangular solves per step, whose largest eigenvalues are
   1 / sigma^2 of the smallest singular values, so it is robust for
   singular values near zero; otherwise it takes a full SVD.
-* ``solve_dense``: LU solve with a condition estimate, falling back to a
-  minimum-norm least-squares solution when the matrix is numerically
-  singular.
+* ``solve_dense``: LAPACK's LU solve with its condition estimate, called
+  directly, falling back to a minimum-norm least-squares solution when the
+  matrix is numerically singular.
 * ``solve_symmetric_iterative``: right-preconditioned flexible GCROT with
   no pairs carried between cycles, for a symmetric (possibly indefinite)
   operator and its preconditioner, both given as matvec callables (the
@@ -293,10 +293,11 @@ class DenseSolve:
 def solve_dense(M, b):
     """Solve the square system ``M x = b`` directly.
 
-    LU with partial pivoting plus a 1-norm condition estimate; if the
-    estimated reciprocal condition number falls below 1e-14 the minimum-norm
-    least-squares solution is returned instead (rank decided by the same
-    relative singular-value threshold).
+    LAPACK's LU with partial pivoting (``dgetrf``), its 1-norm condition
+    estimate (``dgecon``) and its solve (``dgetrs``). Where the reciprocal
+    condition estimate is below ``RCOND_CUTOFF`` (0 for an exact zero pivot,
+    which emits no warning), the minimum-norm least-squares solution, rank
+    decided by the same relative cutoff, is returned instead.
     """
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -304,18 +305,13 @@ def solve_dense(M, b):
         raise DimensionMismatchError(f"solve_dense needs a square matrix, got {M.shape}")
     if b.shape[0] != M.shape[0]:
         raise DimensionMismatchError("right-hand side length mismatch")
-    anorm = np.linalg.norm(M, 1)
-    with warnings.catch_warnings():
-        # LAPACK's exact-singularity warning: dgecon then reports rcond 0
-        # (also for the zero matrix, where anorm is 0) and the least-squares
-        # branch below takes over
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
+    anorm = np.linalg.norm(M, 1)  # first: beside the LU's n^2 factor its temporary page-faults
+    lu, piv, _info = scipy.linalg.lapack.dgetrf(M)
     rcond, _info = scipy.linalg.lapack.dgecon(lu, anorm)
     if not np.isfinite(rcond) or rcond < RCOND_CUTOFF:
         x, *_ = np.linalg.lstsq(M, b, rcond=RCOND_CUTOFF)
         return DenseSolve(x=x, used_least_squares=True)
-    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    x, _info = scipy.linalg.lapack.dgetrs(lu, piv, b)
     return DenseSolve(x=x, used_least_squares=False)
 
 

@@ -40,7 +40,7 @@ import warnings
 import numpy as np
 
 from . import linalg
-from .errors import AllStartsFailed, DimensionMismatchError
+from .errors import AllStartsFailed, DimensionMismatchError, StructureError
 from .structure import LinearStructure, SparsityPattern, as_dense
 
 __all__ = [
@@ -125,8 +125,10 @@ class ProblemInstance:
     rank-deficient matrix; u and v then have the row and column dimensions.
     A wide A (m < n), whose own kernel vectors are roots with u = 0, is
     refused: its transpose, with the transposed structure, is not.
+    An A whose sum of squares overflows, or underflows below the normal
+    double range while A is nonzero, is refused with ``StructureError``.
     A is held once: A^T products use its transpose view, and each Newton
-    step builds its block B = A + ... once (``bordered_jacobian``).
+    step reads it once in ``bordered_jacobian``.
     """
 
     def __init__(self, A, structure: LinearStructure | None = None, options: SolverOptions | None = None):
@@ -137,6 +139,15 @@ class ProblemInstance:
         if self.m < self.n:
             raise DimensionMismatchError(f"a wide {self.m} x {self.n} matrix is not supported: "
                                          f"solve its {self.n} x {self.m} transpose")
+        with np.errstate(over="ignore"):
+            self.norm_fro = linalg.frobenius_norm(self.A)
+        # a nonzero A's sum of squares, norm_fro^2, must be finite and normal
+        if not math.sqrt(np.finfo(float).tiny) <= self.norm_fro < math.inf:
+            scale = float(abs(self.A).max())
+            if scale > 0:
+                raise StructureError(f"A is out of scale: its largest entry is {scale:.3e}, and "
+                                     "the sum of its squares leaves the normal double range; "
+                                     "rescale A")
         if structure is None:
             structure = SparsityPattern.from_matrix(self.A)
         if structure.shape != self.A.shape:
@@ -145,7 +156,6 @@ class ProblemInstance:
             )
         self.structure = structure
         self.options = options if options is not None else SolverOptions()
-        self.norm_fro = linalg.frobenius_norm(self.A)
 
     @property
     def grad_tol(self):
@@ -207,40 +217,42 @@ def residual_G_beta(P: ProblemInstance, u, v):
 def bordered_jacobian(P: ProblemInstance, u, v):
     """The bordered Jacobian K = [[H, c], [c^T, 0]] of G at (u, v), c = [0; v].
 
-    H = [[M M^T, B + M N^T], [(B + M N^T)^T, N N^T]] with M = M(v),
-    N = N(u) and B = A + Delta, Delta = ``project_rank1(u, v)``; K is
-    symmetric. B is built once per call, one way per structure kind on
-    both routes: a pattern, whose M N^T is Delta, folds it into B as
-    A + ``h_offdiag``; a basis builds A + Delta. On the dense route (A
-    without LU, ``P.factor`` is None) K is an ndarray filled in place with
-    a pattern's diagonal Gram blocks (``gram_diagonals``) or a basis's
-    M M^T, N N^T and M N^T from one ``m_matrix`` and one ``n_matrix``;
-    every structure then adds B to the off-diagonal block and mirrors it.
-    On the Krylov route (A with LU) it is x -> K x, applied block by block
-    so that memory stays linear in A: B x2 and B^T x1 plus a pattern's
-    diagonal Gram blocks or, for a basis, the maps,
+    H = [[M M^T, A + Delta + M N^T], [(A + Delta + M N^T)^T, N N^T]] with
+    M = M(v), N = N(u) and Delta = ``project_rank1(u, v)``; K is symmetric.
+    On the dense route (A without LU, ``P.factor`` is None) K is one
+    ndarray filled in place: A is copied into the off-diagonal block; a
+    pattern, whose M N^T is Delta, adds 2 Delta at its entries (from
+    ``apply_mt``) and sets the diagonal Gram blocks (``gram_diagonals``);
+    a basis adds Delta, then M N^T, and writes M M^T and N N^T, all from
+    one ``m_matrix`` and one ``n_matrix``. The block is then mirrored.
+    On the Krylov route (A with LU) it is x -> K x, applied block by
+    block so that memory stays linear in A: B x2 and B^T x1, with
+    B = A + ``h_offdiag`` (A + Delta + M N^T) for a pattern plus its
+    diagonal Gram blocks, and B = A + Delta for a basis plus the maps,
     H [x1; x2] = [B x2 + M w; B^T x1 + N w] with w = M^T x1 + N^T x2.
     """
     S = P.structure
     m, N = P.m, P.m + P.n
+    if P.factor is None:
+        K = np.zeros((N + 1, N + 1))
+        K[:m, m:N] = as_dense(P.A)
+        if S.diagonal_gram:
+            K[S.rows, m + S.cols] += 2.0 * S.apply_mt(v, u)
+            K[np.arange(N), np.arange(N)] = np.concatenate(S.gram_diagonals(u, v))
+        else:
+            Mm, Nm = S.m_matrix(v), S.n_matrix(u)
+            K[:m, m:N] += as_dense(S.project_rank1(u, v))
+            K[:m, m:N] += Mm @ Nm.T
+            K[:m, :m], K[m:N, m:N] = Mm @ Mm.T, Nm @ Nm.T
+        K[m:N, :m] = K[:m, m:N].T
+        K[m:N, N] = K[N, m:N] = v
+        return K
+
     if S.diagonal_gram:
         g1, g2 = S.gram_diagonals(u, v)
         B = P.A + S.h_offdiag(u, v)
     else:
         B = P.A + S.project_rank1(u, v)
-
-    if P.factor is None:
-        K = np.zeros((N + 1, N + 1))
-        if S.diagonal_gram:
-            K[np.arange(N), np.arange(N)] = np.concatenate([g1, g2])
-        else:
-            Mm, Nm = S.m_matrix(v), S.n_matrix(u)
-            K[:m, :m], K[m:N, m:N], K[:m, m:N] = Mm @ Mm.T, Nm @ Nm.T, Mm @ Nm.T
-        K[:m, m:N] += as_dense(B)
-        K[m:N, :m] = K[:m, m:N].T
-        K[m:N, N] = K[N, m:N] = v
-        return K
-
     Bt = B.T
 
     def K(x):
@@ -278,13 +290,13 @@ def newton_step(P: ProblemInstance, state: SolverState):
     The system is [[H, c], [c^T, 0]] [du; dv; lam] = [-G; 0] with
     c = [0; v]: the border row asks v . dv = 0, which removes the gauge
     direction (u, -v) from the step, and lam is discarded. Both paths
-    build the bordered matrix, and its B = A + Delta, once per step
-    through ``bordered_jacobian``.
+    build the bordered matrix once per step through ``bordered_jacobian``.
     An A without LU (``P.factor`` is None) takes the dense route: the
-    array it returns is solved with the direct solver and its minimum-norm
-    fallback (``inner`` is None). An A with LU applies it block by block,
-    one product with B and one with B^T per application (a basis leaves
-    M N^T to the maps), in GCROT to a true relative residual
+    array it fills is solved by LAPACK's LU (``linalg.solve_dense``) or its
+    minimum-norm fallback (``inner`` is None). An A with LU applies it
+    block by block, one product with B = A + Delta (a pattern's with its
+    M N^T) and one with B^T per application (a basis leaves M N^T to the
+    maps), in GCROT to a true relative residual
     of at most ``INNER_TOL``, starting from zero and right-preconditioned
     by the inverse of blockdiag([[0, A], [A^T, 0]], 1) (H's leading part
     while u and Delta are small), which maps

@@ -25,9 +25,10 @@ Delta v = M delta and Delta^T u = N delta, and the only formula for
 Delta's coordinates (``apply_mt``). The curvature blocks M M^T, N N^T and
 M N^T come from two Gram kernels, each used whole: the pattern kernel only
 where ``diagonal_gram`` holds (diagonal Gram blocks, ``gram_diagonals``,
-and M N^T = Delta, which ``h_offdiag`` adds to Delta), and the factor
-kernel for every basis (``m_matrix`` and ``n_matrix`` on the dense Newton
-route, the maps on the Krylov route).
+and M N^T = Delta, which the dense Newton step adds from ``apply_mt``
+straight into its array and the Krylov route adds to Delta through
+``h_offdiag``), and the factor kernel for every basis (``m_matrix`` and
+``n_matrix`` on the dense Newton route, the maps on the Krylov route).
 """
 
 from __future__ import annotations
@@ -194,10 +195,11 @@ class LinearStructure:
     def h_offdiag(self, u, v):
         """The off-diagonal curvature block ``project_rank1(u, v) + M(v) N(u)^T``.
 
-        Pattern kernel: M N^T is the projected rank-1 matrix itself, so the
-        block is twice it, as CSR. Like ``gram_diagonals``, it raises
-        ``StructureError`` where ``diagonal_gram`` is False; a general basis
-        forms the block from its factor kernel, ``m_matrix`` and ``n_matrix``.
+        Pattern kernel of the Krylov Newton route: M N^T is the projected
+        rank-1 matrix itself, so the block is twice it, as CSR. Like
+        ``gram_diagonals``, it raises ``StructureError`` where
+        ``diagonal_gram`` is False; a general basis forms the block from its
+        factor kernel, ``m_matrix`` and ``n_matrix``.
         """
         if not self.diagonal_gram:
             raise StructureError(f"{type(self).__name__} has no pattern off-diagonal block")

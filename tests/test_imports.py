@@ -107,3 +107,32 @@ def test_check_flags_an_export_without_a_caller(tmp_path):
     readme = tmp_path / "README.md"
     readme.write_text("Call `run()`.\n")
     assert exports_without_a_caller(tmp_path, [readme]) == ["a.py: h"]
+
+
+def foreign_private_reads(path):
+    """``line N: expr._name`` for each underscore attribute taken of anything but self or cls.
+
+    Dunder attributes (``type(x).__name__``) are public and not counted.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+             and not (node.attr.startswith("__") and node.attr.endswith("__"))
+             and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_reads_no_private_attribute_of_another_object(module):
+    # a module reaches other objects, modules and structures through their
+    # public surface; only a class's own methods read its underscore names
+    assert foreign_private_reads(PACKAGE / module) == []
+
+
+def test_check_flags_a_private_attribute_of_another_object(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import numpy as np\n\nclass C:\n    def f(self, other):\n"
+                    "        return self._a + other._b + type(other).__name__ + np._c\n\n"
+                    "    @classmethod\n    def g(cls):\n        return cls._d\n")
+    assert foreign_private_reads(path) == ["line 5: other._b", "line 5: np._c"]

@@ -21,6 +21,7 @@ from singdist import (
     ProblemInstance,
     SolverOptions,
     SparsityPattern,
+    StructureError,
     certify_solution,
     gcd,
     linalg,
@@ -220,6 +221,43 @@ def test_krylov_route_jacobian_equals_dense_route_jacobian(monkeypatch):
         size = P.m + P.n + 1
         np.testing.assert_allclose(as_matrix(K, size), K_dense, rtol=0, atol=1e-13,
                                    err_msg=f"{A.shape} {S} {type(A)}")
+
+
+def summed_jacobian(P, u, v):
+    """The dense K as B = A + Delta (+ M N^T) added to the Gram blocks, densified."""
+    S = P.structure
+    m, N = P.m, P.m + P.n
+    K = np.zeros((N + 1, N + 1))
+    if S.diagonal_gram:
+        B = P.A + S.h_offdiag(u, v)
+        K[np.arange(N), np.arange(N)] = np.concatenate(S.gram_diagonals(u, v))
+    else:
+        B = P.A + S.project_rank1(u, v)
+        Mm, Nm = S.m_matrix(v), S.n_matrix(u)
+        K[:m, :m], K[m:N, m:N], K[:m, m:N] = Mm @ Mm.T, Nm @ Nm.T, Mm @ Nm.T
+    K[:m, m:N] += as_dense(B)
+    K[m:N, :m] = K[:m, m:N].T
+    K[m:N, N] = K[N, m:N] = v
+    return K
+
+
+def test_dense_jacobian_fills_in_place_what_the_summed_blocks_give():
+    # the in-place fill adds the same terms in an order that gives the same
+    # bits: A + 2 Delta on a pattern's entries, (A + Delta) + M N^T for a basis
+    rng = np.random.default_rng(29)
+    for m, n in ((7, 7), (9, 6)):
+        A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
+        A[np.arange(n), np.arange(n)] += 2.0
+        elsewhere, mask = random_pattern(rng, m, n, 0.4)
+        assert ((A != 0) & ~mask).any()  # a pattern that misses some of A's support
+        for S in (SparsityPattern.from_matrix(A), elsewhere, FullStructure(A.shape),
+                  random_orthonormal_basis(rng, m, n, 9)):
+            for storage in (np.asarray, sp.csr_array):
+                P = ProblemInstance(storage(A), S)
+                assert P.factor is None
+                u, v = rng.standard_normal(m), rng.standard_normal(n)
+                assert np.array_equal(bordered_jacobian(P, u, v), summed_jacobian(P, u, v)), \
+                    f"{A.shape} {S} {type(P.A).__name__}"
 
 
 def test_krylov_route_memory_follows_the_basis(monkeypatch):
@@ -601,7 +639,8 @@ def test_each_newton_step_builds_the_jacobian_once(monkeypatch):
 
 def test_dense_route_builds_each_gram_factor_once(monkeypatch):
     # a basis fills all of H from one m_matrix and one n_matrix and never
-    # calls the pattern kernel; a pattern uses the pattern kernel alone
+    # calls the pattern kernel; a pattern uses the pattern kernel alone and
+    # builds no sparse member (no h_offdiag, no project_rank1)
     rng = np.random.default_rng(25)
     A = rng.standard_normal((6, 5))
     ops = ("m_matrix", "n_matrix", "gram_diagonals", "h_offdiag", "project_rank1")
@@ -609,7 +648,7 @@ def test_dense_route_builds_each_gram_factor_once(monkeypatch):
     u, v = rng.standard_normal(6), rng.standard_normal(5)
     cases = ((random_orthonormal_basis(rng, 6, 5, 8),
               {"m_matrix": 1, "n_matrix": 1, "project_rank1": 1}),
-             (random_pattern(rng, 6, 5)[0], {"gram_diagonals": 1, "h_offdiag": 1}))
+             (random_pattern(rng, 6, 5)[0], {"gram_diagonals": 1}))
     for S, expected in cases:
         P = ProblemInstance(A, S)
         assert P.factor is None
@@ -1093,6 +1132,23 @@ def test_solver_options_reject_a_bool(flag):
 def test_problem_instance_refuses_an_empty_matrix():
     with pytest.raises(DimensionMismatchError, match="matrix must be nonempty"):
         ProblemInstance(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("storage", [np.asarray, sp.csr_array])
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_problem_instance_refuses_an_A_whose_squares_leave_the_double_range(scale, storage):
+    # at 1e160 the sum of squares overflows, and the solve called the input
+    # singular at distance 0; at 1e-170 every square underflows, and the
+    # solve "converged" at iteration 0 with sigma_min(A + Delta) near
+    # 3.5e-4 ||A||_F. Both are refused, naming the scale, without a warning.
+    rng = np.random.default_rng(0)
+    A0 = rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.6) + 2 * np.eye(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructureError, match=re.escape(f"{scale * np.abs(A0).max():.3e}")):
+            ProblemInstance(storage(scale * A0))
+        assert ProblemInstance(storage(1e-150 * A0)).norm_fro > 0
+        assert ProblemInstance(np.zeros((3, 3)), FullStructure((3, 3))).norm_fro == 0.0
 
 
 def test_starting_values_take_the_start_count_as_given():

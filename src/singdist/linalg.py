@@ -4,11 +4,11 @@ The solver is written against the contracts in this module so the numerical
 backends stay swappable:
 
 * ``factorize``: one LU factorization of a square A, returned as its solve
-  function ``solve(b, trans=False)``: LAPACK for dense A, SuperLU for
-  sparse A whose LU stays sparse, and LAPACK again for sparse A whose LU is
-  predicted to fill in, densified up to ``DENSE_FALLBACK_MAX_N``^2 entries.
-  The triplet solver and the Newton preconditioner share it, so A is
-  factored once per problem.
+  function ``solve(b, trans=False)``: LAPACK's ``dgetrf``/``dgetrs`` for
+  dense A and for sparse A whose LU is predicted to fill in, densified up
+  to ``DENSE_FALLBACK_MAX_N``^2 entries, SuperLU for other sparse A; an
+  exact zero pivot (LAPACK's ``info``) means no LU. The triplet solver and
+  the Newton preconditioner share it, so A is factored once per problem.
 * ``smallest_singular_triplets``: the K smallest singular triplets of a dense
   or sparse matrix, checked against ||A||_F, which it computes on every
   call. Handed the LU solve of A and K <= n - 2, it runs Lanczos on
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -160,11 +159,12 @@ def factorize(A):
 
     A is a float ndarray or CSR as ``validate_matrix`` returns it, and
     ``solve(b, trans)`` gives ``A^-1 b``, or ``A^-T b`` when ``trans``.
-    SuperLU factors a sparse A whose LU stays sparse. LAPACK factors a dense
-    A, and a sparse A whose LU is predicted to fill in (``_lu_fills_in``),
-    densified: on a 2,100-row random graph with 5 entries per row, 84 ms
-    instead of SuperLU's 247 ms. Either kernel's exact zero pivot, or a
-    non-finite LAPACK factor, gives None.
+    SuperLU factors a sparse A whose LU stays sparse. LAPACK, called
+    directly (``dgetrf``, ``dgetrs``), factors a dense A, and a sparse A
+    whose LU is predicted to fill in (``_lu_fills_in``), densified: on a
+    2,100-row random graph with 5 entries per row, 84 ms instead of
+    SuperLU's 247 ms. Either kernel's exact zero pivot (LAPACK's ``info``,
+    no warning), or a non-finite LAPACK factor, gives None.
     """
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"factorize needs a square matrix, got {A.shape}")
@@ -175,17 +175,13 @@ def factorize(A):
             return None
         return lambda b, trans=False: lu.solve(b, trans="T" if trans else "N")
     densified = sp.issparse(A)
-    with warnings.catch_warnings():
-        # LAPACK's exact-singularity warning is turned into the None result
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        # LAPACK factors a Fortran-order copy in place; from C order
-        # lu_factor would make a second n^2 copy
-        lu_piv = scipy.linalg.lu_factor(A.toarray(order="F") if densified else A,
-                                        overwrite_a=densified, check_finite=False)
-    if not np.all(np.isfinite(lu_piv[0])) or not np.all(np.diag(lu_piv[0])):
+    # LAPACK factors a Fortran-order copy in place; from C order dgetrf
+    # would make a second n^2 copy
+    lu, piv, info = scipy.linalg.lapack.dgetrf(A.toarray(order="F") if densified else A,
+                                               overwrite_a=densified)
+    if info > 0 or not np.all(np.isfinite(lu)):
         return None
-    return lambda b, trans=False: scipy.linalg.lu_solve(
-        lu_piv, b, trans=int(trans), check_finite=False)
+    return lambda b, trans=False: scipy.linalg.lapack.dgetrs(lu, piv, b, trans=int(trans))[0]
 
 
 def _dense_triplets(A, k):

@@ -223,8 +223,9 @@ def bordered_jacobian(P: ProblemInstance, u, v):
     ndarray filled in place: A is copied into the off-diagonal block; a
     pattern, whose M N^T is Delta, adds 2 Delta at its entries (from
     ``apply_mt``) and sets the diagonal Gram blocks (``gram_diagonals``);
-    a basis adds Delta, then M N^T, and writes M M^T and N N^T, all from
-    one ``m_matrix`` and one ``n_matrix``. The block is then mirrored.
+    a basis adds Delta (``project`` of u v^T), then M N^T, and writes
+    M M^T and N N^T, all from one ``m_matrix`` and one ``n_matrix``. The
+    block is then mirrored; no sparse matrix is built.
     On the Krylov route (A with LU) it is x -> K x, applied block by
     block so that memory stays linear in A: B x2 and B^T x1, with
     B = A + ``h_offdiag`` (A + Delta + M N^T) for a pattern plus its
@@ -241,7 +242,7 @@ def bordered_jacobian(P: ProblemInstance, u, v):
             K[np.arange(N), np.arange(N)] = np.concatenate(S.gram_diagonals(u, v))
         else:
             Mm, Nm = S.m_matrix(v), S.n_matrix(u)
-            K[:m, m:N] += as_dense(S.project_rank1(u, v))
+            K[:m, m:N] += S.project(np.outer(u, v))
             K[:m, m:N] += Mm @ Nm.T
             K[:m, :m], K[m:N, m:N] = Mm @ Mm.T, Nm @ Nm.T
         K[m:N, :m] = K[:m, m:N].T

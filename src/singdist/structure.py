@@ -27,8 +27,9 @@ M N^T come from two Gram kernels, each used whole: the pattern kernel only
 where ``diagonal_gram`` holds (diagonal Gram blocks, ``gram_diagonals``,
 and M N^T = Delta, which the dense Newton step adds from ``apply_mt``
 straight into its array and the Krylov route adds to Delta through
-``h_offdiag``), and the factor kernel for every basis (``m_matrix`` and
-``n_matrix`` on the dense Newton route, the maps on the Krylov route).
+``h_offdiag``), and the factor kernel for every basis (``m_matrix``,
+``n_matrix`` and the Delta ``project`` returns for u v^T on the dense
+Newton route, the maps on the Krylov route).
 """
 
 from __future__ import annotations

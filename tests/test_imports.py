@@ -136,3 +136,41 @@ def test_check_flags_a_private_attribute_of_another_object(tmp_path):
                     "        return self._a + other._b + type(other).__name__ + np._c\n\n"
                     "    @classmethod\n    def g(cls):\n        return cls._d\n")
     assert foreign_private_reads(path) == ["line 5: other._b", "line 5: np._c"]
+
+
+#: the warning filters of the ``warnings`` module, with which a layer would
+#: swallow what a lower layer reports; ``np.errstate``, which scopes a
+#: floating-point condition the code then checks, is not one of them
+WARNING_FILTERS = ("catch_warnings", "simplefilter", "filterwarnings")
+
+
+def warning_filters(path):
+    """``line N: source`` for each use or import of a ``warnings`` filter in the module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [node for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr in WARNING_FILTERS
+                 and isinstance(node.value, ast.Name) and node.value.id == "warnings")
+             or (isinstance(node, ast.ImportFrom) and node.module == "warnings"
+                 and any(alias.name in WARNING_FILTERS for alias in node.names))]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_filters_no_warning(module):
+    # a kernel reports what went wrong in its result or by raising; no layer
+    # silences the warnings of the layers below it
+    assert warning_filters(PACKAGE / module) == []
+
+
+def test_check_flags_a_warning_filter(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import warnings\nfrom warnings import simplefilter\nimport numpy as np\n\n"
+                    "def f():\n    with warnings.catch_warnings():\n"
+                    "        warnings.filterwarnings('ignore')\n        warnings.warn('kept')\n"
+                    "        with np.errstate(over='ignore'):\n            return 1\n")
+    assert warning_filters(path) == [
+        "line 2: from warnings import simplefilter",
+        "line 6: warnings.catch_warnings",
+        "line 7: warnings.filterwarnings",
+    ]

@@ -194,6 +194,38 @@ def test_lu_factor_solves_with_either_kernel(monkeypatch):
         factorize(sp.csr_array(np.ones((3, 2))))
 
 
+def test_lu_solve_matches_scipy_lu_solve(monkeypatch):
+    # the direct LAPACK kernel returns what scipy's lu_factor/lu_solve
+    # wrappers return, bit for bit, for a dense and a densified sparse A
+    monkeypatch.setattr(linalg, "LU_FILL_SPREAD", 0.0)
+    rng = np.random.default_rng(20)
+    n = 50
+    A = sp.csr_array(sp.random(n, n, density=0.2, random_state=np.random.RandomState(20))
+                     + sp.identity(n))
+    b = rng.standard_normal(n)
+    lu_piv = scipy.linalg.lu_factor(A.toarray())
+    for M in (A, A.toarray()):
+        f = factorize(M)
+        for trans in (False, True):
+            assert np.array_equal(f(b, trans), scipy.linalg.lu_solve(lu_piv, b, trans=int(trans)))
+
+
+def test_lu_with_a_non_finite_factor_is_none(monkeypatch):
+    # Wilkinson's growth matrix: 1 on the diagonal, -1 below it, 1 in the
+    # last column. Its entries are finite at 1e292, but the last column of U
+    # grows by 2^(n-1) and overflows, with no exact zero pivot
+    monkeypatch.setattr(linalg, "LU_FILL_SPREAD", 0.0)  # densify every sparse A
+    n = 60
+    W = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    W[:, -1] = 1.0
+    W *= 1e292
+    lu, _piv, info = scipy.linalg.lapack.dgetrf(W)
+    assert info == 0 and not np.all(np.isfinite(lu))
+    assert factorize(W) is None
+    assert linalg._lu_fills_in(sp.csr_array(W))
+    assert factorize(sp.csr_array(W)) is None
+
+
 def permuted(A, seed):
     rng = np.random.default_rng(seed)
     A = sp.csr_array(A)
@@ -217,7 +249,8 @@ def count_lu_kernels(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(spla, "splu", counting("superlu", spla.splu))
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counting("lapack", scipy.linalg.lu_factor))
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf",
+                        counting("lapack", scipy.linalg.lapack.dgetrf))
     return calls
 
 

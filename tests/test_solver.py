@@ -638,16 +638,17 @@ def test_each_newton_step_builds_the_jacobian_once(monkeypatch):
 
 
 def test_dense_route_builds_each_gram_factor_once(monkeypatch):
-    # a basis fills all of H from one m_matrix and one n_matrix and never
-    # calls the pattern kernel; a pattern uses the pattern kernel alone and
-    # builds no sparse member (no h_offdiag, no project_rank1)
+    # a basis fills all of H from one m_matrix, one n_matrix and one dense
+    # project and never calls the pattern kernel; a pattern uses the pattern
+    # kernel alone; neither builds a sparse member (no h_offdiag, no
+    # project_rank1)
     rng = np.random.default_rng(25)
     A = rng.standard_normal((6, 5))
-    ops = ("m_matrix", "n_matrix", "gram_diagonals", "h_offdiag", "project_rank1")
+    ops = ("m_matrix", "n_matrix", "gram_diagonals", "h_offdiag", "project_rank1", "project")
     calls = count_structure_calls(monkeypatch, ops)
     u, v = rng.standard_normal(6), rng.standard_normal(5)
     cases = ((random_orthonormal_basis(rng, 6, 5, 8),
-              {"m_matrix": 1, "n_matrix": 1, "project_rank1": 1}),
+              {"m_matrix": 1, "n_matrix": 1, "project": 1}),
              (random_pattern(rng, 6, 5)[0], {"gram_diagonals": 1}))
     for S, expected in cases:
         P = ProblemInstance(A, S)
